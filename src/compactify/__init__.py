@@ -22,9 +22,6 @@ from .functions import (
     Tanh,
     chebyshev_expand,
     descriptor_from_json,
-    descriptor_to_json,
-    evaluate,
-    range_interval,
 )
 from .product_space import (
     ProductPoint,
@@ -40,7 +37,6 @@ from .compactification import (
     RemainderCluster,
     build_compactification,
     closure_membership,
-    embed,
     load_model,
     save_model,
 )
@@ -85,9 +81,6 @@ __all__ = [
     "Tanh",
     "chebyshev_expand",
     "descriptor_from_json",
-    "descriptor_to_json",
-    "evaluate",
-    "range_interval",
     "ProductPoint",
     "cap_metric",
     "check_ball_cylinder_inclusions",
@@ -99,7 +92,6 @@ __all__ = [
     "RemainderCluster",
     "build_compactification",
     "closure_membership",
-    "embed",
     "load_model",
     "save_model",
     "ExtensionReport",

@@ -8,7 +8,6 @@ header.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,12 +21,20 @@ from .compactification import (
 )
 from .extension import Verdict, check_extendability, extend_by_projection
 from .functions import Cos, FunctionFamily, Interval, StereoX, StereoY, Tanh, chebyshev_expand
-from .inverse_limit import InverseSystem, chain_limit, lift_point, make_thread_from_parameter, thread_residuals
+from .inverse_limit import (
+    InverseSystem,
+    LiftError,
+    chain_limit,
+    lift_point,
+    make_thread_from_parameter,
+    thread_residuals,
+)
 from .ordering import ComparisonWitness, apply_witness, compare, enlarge, equivalence_check
 from .product_space import (
+    InclusionReport,
     ProductPoint,
+    capped_distance,
     check_ball_cylinder_inclusions,
-    coordinate_weights,
     product_distance,
     rowwise_distance,
     tail_bound,
@@ -38,6 +45,7 @@ __all__ = [
     "CriterionResult",
     "CRITERIA",
     "run_criteria",
+    "metric_sample",
     "verify_report_body",
     "TWO_POINT_FAMILY",
     "ONE_POINT_FAMILY",
@@ -114,51 +122,54 @@ def _crit_chebyshev_identity(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _crit_metric_axioms(ctx: AcceptanceContext) -> CriterionResult:
-    """Metric axioms on random triples plus both ball/cylinder inclusions."""
-    rng = ctx.rng(2)
-    n = 10_000
-    dim = 5
+def metric_sample(
+    rng: np.random.Generator, n: int, dim: int, half_count: int, r: float
+) -> tuple[dict, InclusionReport]:
+    """Metric axioms on n random triples in [-1, 1]^dim, then both
+    ball/cylinder inclusions at radius r on 2 * half_count points.
+
+    Random points rarely land close enough to engage the inclusion
+    hypotheses, so half the inclusion sample is built from small
+    perturbations of the other half.  Returns the measured details and
+    the inclusion report.
+    """
     x, y, z = rng.uniform(-1.0, 1.0, (3, n, dim))
     dxy = rowwise_distance(x, y)
-    dyx = rowwise_distance(y, x)
     dyz = rowwise_distance(y, z)
     dxz = rowwise_distance(x, z)
-    symmetric = bool(np.array_equal(dxy, dyx))
+    symmetric = bool(np.array_equal(dxy, rowwise_distance(y, x)))
     identity = bool(np.all(rowwise_distance(x, x) == 0.0) and np.all(dxy > 0.0))
     triangle_slack = float((dxz - (dxy + dyz)).max())
 
     space = tuple([Interval(-1.0, 1.0)] * dim)
-    # Random points rarely land close enough to engage the inclusion
-    # hypotheses, so half the sample is built from small perturbations.
-    base = rng.uniform(-1.0, 1.0, (75, dim))
-    near = base + rng.uniform(-0.02, 0.02, (75, dim))
-    pts = np.clip(np.vstack([base, near]), -1.0, 1.0)
-    samples = [ProductPoint(tuple(row), space) for row in pts]
-    report = check_ball_cylinder_inclusions(space, samples, r=0.3)
+    base = rng.uniform(-1.0, 1.0, (half_count, dim))
+    near = np.clip(base + rng.uniform(-0.02, 0.02, base.shape), -1.0, 1.0)
+    samples = [ProductPoint(tuple(row), space) for row in np.vstack([base, near])]
+    report = check_ball_cylinder_inclusions(space, samples, r=r)
+    details = {
+        "symmetric": symmetric,
+        "identity": identity,
+        "triangle_slack": triangle_slack,
+        "inclusion_pairs": report.pairs_checked,
+        "coordinate_violations": len(report.coordinate_violations),
+        "cylinder_violations": len(report.cylinder_violations),
+        "truncation_depth": report.k,
+    }
+    return details, report
 
+
+def _crit_metric_axioms(ctx: AcceptanceContext) -> CriterionResult:
+    """Metric axioms on random triples plus both ball/cylinder inclusions."""
+    n = 10_000
+    details, report = metric_sample(ctx.rng(2), n, dim=5, half_count=75, r=0.3)
     passed = (
-        symmetric
-        and identity
-        and triangle_slack <= 1e-12
+        details["symmetric"]
+        and details["identity"]
+        and details["triangle_slack"] <= 1e-12
         and report.ok
         and report.pairs_checked >= 10_000
     )
-    return CriterionResult(
-        2,
-        "metric-axioms",
-        passed,
-        {
-            "triples": n,
-            "symmetric": symmetric,
-            "identity": identity,
-            "triangle_slack": triangle_slack,
-            "inclusion_pairs": report.pairs_checked,
-            "coordinate_violations": len(report.coordinate_violations),
-            "cylinder_violations": len(report.cylinder_violations),
-            "truncation_depth": report.k,
-        },
-    )
+    return CriterionResult(2, "metric-axioms", passed, {"triples": n, **details})
 
 
 def _crit_truncation_bound(ctx: AcceptanceContext) -> CriterionResult:
@@ -252,14 +263,9 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
 
     cover = 0.0
     for lo in range(0, oracle.shape[0], 65_536):
-        chunk = oracle[lo : lo + 65_536]
-        dists = np.zeros((chunk.shape[0], centers.shape[0]))
-        w = coordinate_weights(centers.shape[1])
-        for d in range(centers.shape[1]):
-            dists += (
-                np.minimum(1.0, np.abs(chunk[:, d : d + 1] - centers[None, :, d])) * w[d]
-            )
-        cover = max(cover, float(dists.min(axis=1).max()))
+        block = oracle[lo : lo + 65_536, None, :]
+        nearest = capped_distance(block, centers[None, :, :]).min(axis=1)
+        cover = max(cover, float(nearest.max()))
 
     # Distance from a center (t, c) to {-1,+1} x [-1,1] in the product
     # metric: the best capped gap in t, the c coordinate already lies in
@@ -386,7 +392,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> CriterionResult:
             point = ProductPoint(tuple(float(v) for v in model.image_points[i]), model.space)
             try:
                 thread = lift_point(system, n, point)
-            except Exception:
+            except LiftError:
                 lift_failures += 1
                 continue
             lifts += 1
@@ -473,8 +479,3 @@ def verify_report_body(seed: int, ids: tuple[int, ...] | None = None) -> dict:
         "all_passed": all(r.passed for r in results),
         "criteria": [r.to_json() for r in results],
     }
-
-
-def report_bytes(body: dict) -> bytes:
-    """Canonical serialization used for byte-identity comparisons."""
-    return json.dumps(body, sort_keys=True).encode("utf-8")

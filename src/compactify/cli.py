@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import CRITERIA, report_bytes, verify_report_body
+from .acceptance import CRITERIA, chain_family, metric_sample, verify_report_body
 from .compactification import (
     BuildParams,
     build_compactification,
@@ -33,29 +32,15 @@ from .extension import (
     Verdict,
     check_extendability,
 )
-from .functions import FunctionFamily, Interval, descriptor_from_json
+from .functions import FunctionFamily, descriptor_from_json
 from .inverse_limit import InverseSystem, chain_limit
 from .ordering import ComparisonWitness, compare, enlarge
-from .product_space import (
-    ProductPoint,
-    check_ball_cylinder_inclusions,
-    rowwise_distance,
-    write_point_cloud_csv,
-)
-from .acceptance import chain_family
+from .product_space import write_point_cloud_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_NUMERIC = 4
-
-
-def _workers() -> int:
-    raw = os.environ.get("COMPACTIFY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(result: dict, config: dict, started: float, path: str | None) -> None:
@@ -64,7 +49,8 @@ def _emit(result: dict, config: dict, started: float, path: str | None) -> None:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": time.monotonic() - started,
         },
-        "config": config,
+        # "workers" is a fixed 1, kept so the config block keeps its shape.
+        "config": {**config, "workers": 1},
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2)
@@ -119,7 +105,7 @@ def _cmd_build(args) -> int:
     started = time.monotonic()
     family = FunctionFamily.from_file(args.family)
     params = _build_params(args)
-    model = build_compactification(family, params, workers=_workers())
+    model = build_compactification(family, params)
     save_model(model, args.out)
     if args.remainder_csv:
         write_remainder_csv(model, args.remainder_csv)
@@ -133,7 +119,6 @@ def _cmd_build(args) -> int:
         "remainder_csv": args.remainder_csv,
         "image_csv": args.image_csv,
         "seed": args.seed,
-        "workers": _workers(),
     }
     _emit(
         {
@@ -161,7 +146,6 @@ def _cmd_extend_check(args) -> int:
         "deltas": list(deltas),
         "expect_extends": bool(args.expect_extends),
         "seed": args.seed,
-        "workers": _workers(),
     }
     try:
         report = check_extendability(model, f, deltas=deltas)
@@ -185,7 +169,6 @@ def _cmd_compare(args) -> int:
         "larger": str(args.larger),
         "smaller": str(args.smaller),
         "seed": args.seed,
-        "workers": _workers(),
     }
     outcome = compare(larger, smaller)
     if isinstance(outcome, ComparisonWitness):
@@ -215,9 +198,8 @@ def _cmd_enlarge(args) -> int:
         "function": f.to_json(),
         "out": str(args.out),
         "seed": args.seed,
-        "workers": _workers(),
     }
-    result = enlarge(model, f, workers=_workers())
+    result = enlarge(model, f)
     save_model(result.model, args.out)
     _emit(
         {
@@ -244,7 +226,6 @@ def _cmd_remainder(args) -> int:
         "model": str(args.model),
         "csv": args.csv,
         "seed": args.seed,
-        "workers": _workers(),
     }
     _emit({"clusters": _cluster_summary(model)}, config, started, args.json_report)
     return EXIT_OK
@@ -252,48 +233,22 @@ def _cmd_remainder(args) -> int:
 
 def _cmd_metric_check(args) -> int:
     started = time.monotonic()
-    rng = np.random.default_rng(args.seed)
-    dim = args.dims
     n = args.pairs
-    x, y, z = rng.uniform(-1.0, 1.0, (3, n, dim))
-    dxy = rowwise_distance(x, y)
-    dyz = rowwise_distance(y, z)
-    dxz = rowwise_distance(x, z)
-    symmetric = bool(np.array_equal(dxy, rowwise_distance(y, x)))
-    triangle_slack = float((dxz - (dxy + dyz)).max())
-
-    space = tuple([Interval(-1.0, 1.0)] * dim)
     count = max(4, int(np.ceil((1 + np.sqrt(1 + 8 * n)) / 2)))
-    base = rng.uniform(-1.0, 1.0, (count // 2, dim))
-    near = np.clip(base + rng.uniform(-0.02, 0.02, base.shape), -1.0, 1.0)
-    pts = np.vstack([base, near])
-    samples = [ProductPoint(tuple(row), space) for row in pts]
-    report = check_ball_cylinder_inclusions(space, samples, r=args.r)
-
-    ok = symmetric and triangle_slack <= 1e-12 and report.ok
+    details, report = metric_sample(
+        np.random.default_rng(args.seed), n, args.dims, count // 2, args.r
+    )
+    del details["identity"]
+    details["ok"] = details["symmetric"] and details["triangle_slack"] <= 1e-12 and report.ok
     config = {
         "command": "metric-check",
-        "dims": dim,
+        "dims": args.dims,
         "pairs": n,
         "r": args.r,
         "seed": args.seed,
-        "workers": _workers(),
     }
-    _emit(
-        {
-            "symmetric": symmetric,
-            "triangle_slack": triangle_slack,
-            "inclusion_pairs": report.pairs_checked,
-            "truncation_depth": report.k,
-            "coordinate_violations": len(report.coordinate_violations),
-            "cylinder_violations": len(report.cylinder_violations),
-            "ok": ok,
-        },
-        config,
-        started,
-        args.json_report,
-    )
-    return EXIT_OK if ok else EXIT_NUMERIC
+    _emit(details, config, started, args.json_report)
+    return EXIT_OK if details["ok"] else EXIT_NUMERIC
 
 
 def _cmd_chain_demo(args) -> int:
@@ -302,13 +257,13 @@ def _cmd_chain_demo(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     params = _build_params(args)
     levels = [
-        build_compactification(chain_family(k), params, workers=_workers())
+        build_compactification(chain_family(k), params)
         for k in range(1, args.levels + 1)
     ]
     system = InverseSystem.from_levels(levels)
     for k, model in enumerate(levels):
         save_model(model, out_dir / f"level_{k}.cptf")
-    limit = chain_limit(system, workers=_workers())
+    limit = chain_limit(system)
     save_model(limit, out_dir / "limit.cptf")
 
     limit_comparisons = []
@@ -327,7 +282,6 @@ def _cmd_chain_demo(args) -> int:
         "out_dir": str(out_dir),
         "params": params.to_json(),
         "seed": args.seed,
-        "workers": _workers(),
     }
     _emit(
         {
@@ -354,7 +308,6 @@ def _cmd_verify(args) -> int:
         "all": bool(args.all or not args.criteria),
         "criteria": list(ids) if ids else [cid for cid, _, _ in CRITERIA],
         "seed": args.seed,
-        "workers": _workers(),
     }
     _emit(body, config, started, args.json_report)
     return EXIT_OK if body["all_passed"] else EXIT_NUMERIC

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import base64
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionDescriptor, FunctionFamily, Interval, descriptor_from_json
-from .product_space import ProductPoint, Space, coordinate_weights, distances_to_cloud
+from .functions import FunctionFamily
+from .product_space import ProductPoint, Space, capped_distance, distances_to_cloud
 
 __all__ = [
     "MODEL_MAGIC",
@@ -25,7 +24,6 @@ __all__ = [
     "RemainderCluster",
     "CompactificationModel",
     "Membership",
-    "embed",
     "build_compactification",
     "closure_membership",
     "remainder_separation",
@@ -94,29 +92,10 @@ class EmbeddingMap:
         coords = tuple(f.evaluate(float(x)) for f in self.family)
         return ProductPoint(coords, self.space)
 
-    def embed_array(self, xs: np.ndarray, workers: int = 1) -> np.ndarray:
-        """Evaluate every coordinate on a parameter grid, one column each.
-
-        Worker slices are concatenated back in grid order, so the result
-        does not depend on the worker count.
-        """
+    def embed_array(self, xs: np.ndarray) -> np.ndarray:
+        """Evaluate every coordinate on a parameter grid, one column each."""
         xs = np.asarray(xs, dtype=np.float64)
-        if workers <= 1 or xs.size < 4 * workers:
-            return np.column_stack([f.evaluate(xs) for f in self.family])
-        chunks = np.array_split(xs, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: np.column_stack([f.evaluate(c) for f in self.family]),
-                    chunks,
-                )
-            )
-        return np.vstack(parts)
-
-
-def embed(family: FunctionFamily, x: float) -> ProductPoint:
-    """Image of the parameter x under the family's coordinate embedding."""
-    return EmbeddingMap(family).embed(x)
+        return np.column_stack([f.evaluate(xs) for f in self.family])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +188,6 @@ def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
-    weights = coordinate_weights(dim)
     labels = np.empty(n, dtype=np.int64)
     seeds: list[np.ndarray] = []
     seed_mat = np.empty((0, dim))
@@ -224,14 +202,10 @@ def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
             i += 1
             continue
         chunk = points[i : i + block]
-        dists = np.zeros((chunk.shape[0], seed_mat.shape[0]))
-        for d in range(dim):
-            dists += (
-                np.minimum(1.0, np.abs(chunk[:, d : d + 1] - seed_mat[None, :, d]))
-                * weights[d]
-            )
+        dists = capped_distance(chunk[:, None, :], seed_mat[None, :, :])
         nearest = np.argmin(dists, axis=1)
         within = dists[np.arange(chunk.shape[0]), nearest] <= radius
+        del dists  # free this block before the next one is computed
         if within.all():
             labels[i : i + chunk.shape[0]] = nearest
             i += chunk.shape[0]
@@ -256,7 +230,6 @@ def _cluster_side(witnesses: np.ndarray) -> str:
 def build_compactification(
     family: FunctionFamily,
     params: BuildParams | None = None,
-    workers: int = 1,
 ) -> CompactificationModel:
     """Sample the embedding and cluster its tails into a closure model.
 
@@ -271,11 +244,11 @@ def build_compactification(
     emb = EmbeddingMap(family)
 
     image_params = _image_grid(params)
-    image_points = emb.embed_array(image_params, workers=workers)
+    image_points = emb.embed_array(image_params)
 
     minus, plus = _tail_grids(params)
     tail_params = np.concatenate([minus, plus])
-    tail_points = emb.embed_array(tail_params, workers=workers)
+    tail_points = emb.embed_array(tail_params)
 
     labels = greedy_cluster(tail_points, params.cluster_radius)
     clusters = []

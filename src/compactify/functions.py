@@ -25,11 +25,8 @@ __all__ = [
     "Const",
     "AffineImage",
     "FunctionFamily",
-    "evaluate",
-    "range_interval",
     "chebyshev_expand",
     "chebyshev_recurrence",
-    "descriptor_to_json",
     "descriptor_from_json",
 ]
 
@@ -262,16 +259,6 @@ class AffineImage(FunctionDescriptor):
         }
 
 
-def evaluate(f: FunctionDescriptor, x):
-    """Evaluate descriptor ``f`` at ``x`` (float or ndarray)."""
-    return f.evaluate(x)
-
-
-def range_interval(f: FunctionDescriptor) -> Interval:
-    """Exact closed hull of the image of R under ``f``."""
-    return f.range_interval()
-
-
 def chebyshev_expand(n: int) -> Cheb:
     """Descriptor for cos(n x) written as T_n composed with cos(x).
 
@@ -352,10 +339,6 @@ class FunctionFamily:
         if not isinstance(data, list):
             raise ValueError("family file must hold a JSON array of descriptors")
         return cls.from_json(data)
-
-
-def descriptor_to_json(f: FunctionDescriptor) -> dict:
-    return f.to_json()
 
 
 def descriptor_from_json(obj: dict) -> FunctionDescriptor:

@@ -174,12 +174,13 @@ def lift_point(
     return Thread(tuple(entries[i] for i in range(system.depth)))
 
 
-def chain_limit(system: InverseSystem, workers: int = 1) -> CompactificationModel:
-    """Model of the limit: built from the union of all level families.
+def chain_limit(system: InverseSystem) -> CompactificationModel:
+    """Model of the limit: the model of the union of all level families.
 
     For chains that grow by adjoining coordinates the deepest family
-    already contains the others; in general, descriptors missing from it
-    are appended in level order, duplicates removed.
+    already contains the others, so the deepest level is the limit model
+    and nothing is rebuilt.  Otherwise descriptors missing from it are
+    appended in level order, duplicates removed, and the union is built.
     """
     deepest = system.levels[-1]
     descriptors = list(deepest.family.descriptors)
@@ -189,9 +190,9 @@ def chain_limit(system: InverseSystem, workers: int = 1) -> CompactificationMode
             if f not in seen:
                 descriptors.append(f)
                 seen.add(f)
-    return build_compactification(
-        FunctionFamily(tuple(descriptors)), deepest.params, workers=workers
-    )
+    if len(descriptors) == len(deepest.family):
+        return deepest
+    return build_compactification(FunctionFamily(tuple(descriptors)), deepest.params)
 
 
 @dataclass(frozen=True)

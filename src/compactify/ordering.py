@@ -232,9 +232,7 @@ class EnlargeResult:
     old_report: ExtensionReport
 
 
-def enlarge(
-    model: CompactificationModel, f: FunctionDescriptor, workers: int = 1
-) -> EnlargeResult:
+def enlarge(model: CompactificationModel, f: FunctionDescriptor) -> EnlargeResult:
     """Rebuild with f adjoined and compare the result with the original.
 
     Adjoining a function already present leaves the family unchanged up to
@@ -245,9 +243,7 @@ def enlarge(
     descriptors = model.family.descriptors
     if f not in descriptors:
         descriptors = descriptors + (f,)
-    new_model = build_compactification(
-        FunctionFamily(descriptors), model.params, workers=workers
-    )
+    new_model = build_compactification(FunctionFamily(descriptors), model.params)
     witness = compare(new_model, model)
     if isinstance(witness, Incomparable):
         raise RuntimeError(

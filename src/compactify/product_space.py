@@ -19,6 +19,7 @@ __all__ = [
     "ProductPoint",
     "coordinate_weights",
     "cap_metric",
+    "capped_distance",
     "product_distance",
     "distances_to_cloud",
     "rowwise_distance",
@@ -82,39 +83,43 @@ def _require_same_space(x: ProductPoint, y: ProductPoint) -> None:
         raise ValueError("points live in incompatible product spaces")
 
 
+def capped_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weighted capped distance sum_n min{1, |a_n - b_n|} / 2^n.
+
+    The sum runs over the last axis; the leading axes broadcast, so one
+    call covers a row against a cloud, row against row, or a whole
+    (k, 1, N) x (1, s, N) block.  Terms are accumulated one coordinate at
+    a time in fixed order, so results are reproducible bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    acc = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    w = 1.0
+    for n in range(a.shape[-1]):
+        acc += np.minimum(1.0, np.abs(a[..., n] - b[..., n])) * w
+        w *= 0.5
+    return acc
+
+
 def product_distance(x: ProductPoint, y: ProductPoint) -> float:
-    """Weighted capped distance sum_n min{1, |x_n - y_n|} / 2^n.
+    """Distance between two points of the same product space.
 
     Bounded above by 2.  Raises ValueError when the points do not share a
     space.
     """
     _require_same_space(x, y)
-    total = 0.0
-    w = 1.0
-    for u, v in zip(x.coords, y.coords):
-        total += cap_metric(u, v) * w
-        w *= 0.5
-    return total
+    return float(capped_distance(x.as_array(), y.as_array()))
 
 
 def distances_to_cloud(p: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    """Distances from a single coordinate row to every row of a cloud.
-
-    Accumulates coordinate by coordinate in fixed order so results are
-    reproducible bit for bit.
-    """
+    """Distances from a single coordinate row to every row of a cloud."""
     p = np.asarray(p, dtype=np.float64)
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim == 1:
         cloud = cloud[:, None]
     if cloud.shape[1] != p.shape[0]:
         raise ValueError("cloud and point have different coordinate counts")
-    acc = np.zeros(cloud.shape[0])
-    w = 1.0
-    for n in range(p.shape[0]):
-        acc += np.minimum(1.0, np.abs(cloud[:, n] - p[n])) * w
-        w *= 0.5
-    return acc
+    return capped_distance(cloud, p)
 
 
 def rowwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,12 +131,7 @@ def rowwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
         a = a[:, None]
         b = b[:, None]
-    acc = np.zeros(a.shape[0])
-    w = 1.0
-    for n in range(a.shape[1]):
-        acc += np.minimum(1.0, np.abs(a[:, n] - b[:, n])) * w
-        w *= 0.5
-    return acc
+    return capped_distance(a, b)
 
 
 def tail_bound(n_coords: int) -> float:
@@ -195,10 +195,7 @@ def check_ball_cylinder_inclusions(
     pts = np.asarray([p.coords for p in samples], dtype=np.float64)
     ii, jj = np.triu_indices(len(samples), k=1)
     capped = np.minimum(1.0, np.abs(pts[ii] - pts[jj]))  # (pairs, dim)
-    weights = coordinate_weights(dim)
-    dist = np.zeros(len(ii))
-    for n in range(dim):
-        dist += capped[:, n] * weights[n]
+    dist = capped_distance(pts[ii], pts[jj])
 
     k = _truncation_depth(r)
     coord_viol: list[tuple[int, int, int]] = []

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from compactify.cli import run
@@ -212,18 +211,3 @@ def test_verify_subset_runs_cheap_criteria(capsys):
     ids = [c["id"] for c in report["result"]["criteria"]]
     assert ids == [1, 3]
     assert report["result"]["all_passed"] is True
-
-
-def test_workers_env_does_not_change_the_model(tmp_path, family_file, monkeypatch):
-    out1 = tmp_path / "w1.cptf"
-    out4 = tmp_path / "w4.cptf"
-    monkeypatch.delenv("COMPACTIFY_THREADS", raising=False)
-    assert run(["build", "--family", family_file, "--out", str(out1), *SMALL_FLAGS]) == 0
-    monkeypatch.setenv("COMPACTIFY_THREADS", "4")
-    assert run(["build", "--family", family_file, "--out", str(out4), *SMALL_FLAGS]) == 0
-    a, b = load_model(out1), load_model(out4)
-    assert np.array_equal(a.image_points, b.image_points)
-    assert len(a.remainder) == len(b.remainder)
-    for ca, cb in zip(a.remainder, b.remainder):
-        assert np.array_equal(ca.center, cb.center)
-        assert np.array_equal(ca.witnesses, cb.witnesses)

@@ -45,13 +45,6 @@ def test_embed_scalar_matches_array_route():
         assert pt.coords == tuple(cols[i])
 
 
-def test_embed_array_is_worker_count_independent():
-    emb = EmbeddingMap(FunctionFamily((Tanh(), Cos(math.sqrt(2.0), 0.0))))
-    xs = np.linspace(-40.0, 40.0, 10001)
-    assert np.array_equal(emb.embed_array(xs, workers=1), emb.embed_array(xs, workers=3))
-    assert np.array_equal(emb.embed_array(xs, workers=1), emb.embed_array(xs, workers=7))
-
-
 def _reference_cluster(points, radius):
     # deliberately naive sequential version of the clustering contract:
     # join the nearest earlier seed within radius, else found a new one

@@ -20,8 +20,6 @@ from compactify.functions import (
     chebyshev_expand,
     chebyshev_recurrence,
     descriptor_from_json,
-    evaluate,
-    range_interval,
 )
 
 ALL_KINDS = [
@@ -182,11 +180,6 @@ def test_descriptor_from_json_rejects_unknown_kind():
         descriptor_from_json({"kind": "sine", "a": 1.0})
     with pytest.raises(ValueError):
         descriptor_from_json("tanh")
-
-
-def test_module_level_helpers_delegate():
-    assert evaluate(Tanh(), 0.5) == Tanh().evaluate(0.5)
-    assert range_interval(Cos()) == Interval(-1.0, 1.0)
 
 
 def test_interval_validation():

@@ -139,6 +139,8 @@ def test_chain_limit_unions_the_families(two_level):
     lim = chain_limit(two_level)
     assert tuple(lim.family) == tuple(two_level.levels[1].family)
     assert lim.params == two_level.levels[1].params
+    # the deepest family already holds every descriptor: nothing is rebuilt
+    assert lim is two_level.levels[1]
 
 
 def test_chain_limit_appends_missing_descriptors():
