@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -233,6 +234,8 @@ def _cmd_remainder(args) -> int:
 
 def _cmd_metric_check(args) -> int:
     started = time.monotonic()
+    if args.dims < 1 or args.pairs < 1 or not 0.0 < args.r < math.inf:
+        raise ValueError("metric-check needs --dims >= 1, --pairs >= 1 and a finite --r > 0")
     n = args.pairs
     count = max(4, int(np.ceil((1 + np.sqrt(1 + 8 * n)) / 2)))
     details, report = metric_sample(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ class BuildParams:
     cluster_radius: float = 0.05
 
     def __post_init__(self) -> None:
+        for name, value in self.to_json().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.r_tail_hi > self.r_tail_lo >= self.r_image > 0):
             raise ValueError("need r_tail_hi > r_tail_lo >= r_image > 0")
         if self.grid_step <= 0:
@@ -93,9 +97,16 @@ class EmbeddingMap:
         return ProductPoint(coords, self.space)
 
     def embed_array(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate every coordinate on a parameter grid, one column each."""
+        """Evaluate every coordinate on a parameter grid, one column each.
+
+        Each column is written into the result as soon as it is evaluated,
+        so at most one column is held apart from the result.
+        """
         xs = np.asarray(xs, dtype=np.float64)
-        return np.column_stack([f.evaluate(xs) for f in self.family])
+        out = np.empty((xs.shape[0], len(self.family)))
+        for n, f in enumerate(self.family):
+            out[:, n] = f.evaluate(xs)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,48 +184,90 @@ def _tail_grids(params: BuildParams) -> tuple[np.ndarray, np.ndarray]:
     return minus, plus
 
 
+# greedy_cluster scans points in blocks of _BLOCK consecutive points and
+# splits each block into boxes of _BOX consecutive points for the seed prune.
+_BLOCK = 1024
+_BOX = 32
+
+
+def _nearest_seeds(
+    chunk: np.ndarray, seeds: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest seed of every chunk row, and whether it lies within radius.
+
+    Seeds whose box lower bound exceeds ``radius`` are skipped; see
+    :func:`greedy_cluster` for why that is exact.
+    """
+    k, dim = chunk.shape
+    boxes = -(-k // _BOX)
+    # Pad the last box with copies of the last row; they leave its range
+    # unchanged and their results are dropped.
+    pad = np.repeat(chunk[-1:], boxes * _BOX - k, axis=0)
+    cube = np.concatenate([chunk, pad]).reshape(boxes, _BOX, dim)
+    lo = cube.min(axis=1)[:, None, :]
+    hi = cube.max(axis=1)[:, None, :]
+    # Distance from each seed to the nearest point of each box's bounding
+    # box: a lower bound on its distance to every row of that box.
+    bound = capped_distance(np.clip(seeds[None, :, :], lo, hi), seeds[None, :, :])
+    alive = bound <= radius  # (boxes, seeds)
+    width = max(1, int(alive.sum(axis=1).max()))
+    # Surviving seeds first, in ascending seed index; the rest is padding.
+    cand = np.argsort(~alive, axis=1, kind="stable")[:, :width]
+    live = np.take_along_axis(alive, cand, axis=1)
+    dists = capped_distance(cube[:, :, None, :], seeds[cand][:, None, :, :])
+    dists = np.where(live[:, None, :], dists, np.inf)  # (boxes, _BOX, width)
+    pick = np.argmin(dists, axis=2)  # first minimum: the earliest seed
+    nearest = np.take_along_axis(cand, pick, axis=1).ravel()[:k]
+    within = (dists.min(axis=2) <= radius).ravel()[:k]
+    return nearest, within
+
+
 def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
     """Greedy one-pass agglomeration in presentation order.
 
     The first point seeds a cluster.  Each later point joins the nearest
     existing seed within ``radius`` (ties to the earliest seed) or founds a
     new cluster.  Returns the cluster label of every point, labels ordered
-    by founding time.
+    by founding time.  Points must be finite; a NaN coordinate has no
+    nearest seed, so non-finite input raises ValueError.
 
-    Points are processed in blocks: distances of a whole block to the
-    current seeds are computed at once, and the block is cut at the first
-    point that founds a new seed, which reproduces the sequential result
-    exactly.
+    Points are processed in blocks: a whole block is matched against the
+    current seeds at once, and the block is cut at the first point that
+    founds a new seed, which reproduces the sequential result exactly.
+
+    Within a block, seeds are pruned per box of consecutive points by an
+    exact lower bound.  Clipping a seed s into the box's coordinate range
+    gives the point of the range nearest to s, and the distance from s to
+    it is computed by the same kernel, coordinate by coordinate in the
+    same order.  For any point p of the box each computed |c_n - s_n| is
+    at most |p_n - s_n|, because float subtraction is monotone; so are
+    min{1, .}, the power-of-two weights and addition.  The bound therefore
+    never exceeds the computed distance from s to any point of the box,
+    and a seed whose bound exceeds ``radius`` can be no point's target.
+    Survivors keep ascending seed order, so argmin keeps the earliest-seed
+    tie-break, and the labels equal those of the dense search bit for bit.
     """
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
+    if not np.isfinite(points).all():
+        raise ValueError("greedy_cluster needs finite points")
     labels = np.empty(n, dtype=np.int64)
-    seeds: list[np.ndarray] = []
-    seed_mat = np.empty((0, dim))
-
-    block = 4096
-    i = 0
+    if n == 0:
+        return labels
+    labels[0] = 0
+    seeds = points[:1]
+    i = 1
     while i < n:
-        if not seeds:
-            seeds.append(points[i])
-            seed_mat = points[i : i + 1]
-            labels[i] = 0
-            i += 1
-            continue
-        chunk = points[i : i + block]
-        dists = capped_distance(chunk[:, None, :], seed_mat[None, :, :])
-        nearest = np.argmin(dists, axis=1)
-        within = dists[np.arange(chunk.shape[0]), nearest] <= radius
-        del dists  # free this block before the next one is computed
+        chunk = points[i : i + _BLOCK]
+        nearest, within = _nearest_seeds(chunk, seeds, radius)
         if within.all():
             labels[i : i + chunk.shape[0]] = nearest
             i += chunk.shape[0]
             continue
         cut = int(np.argmin(within))  # first founder in the block
         labels[i : i + cut] = nearest[:cut]
-        labels[i + cut] = len(seeds)
-        seeds.append(points[i + cut])
-        seed_mat = np.vstack([seed_mat, points[i + cut : i + cut + 1]])
+        labels[i + cut] = seeds.shape[0]
+        seeds = np.vstack([seeds, points[i + cut : i + cut + 1]])
         i += cut + 1
     return labels
 
@@ -251,15 +304,18 @@ def build_compactification(
     tail_points = emb.embed_array(tail_params)
 
     labels = greedy_cluster(tail_points, params.cluster_radius)
+    # One stable sort groups every cluster's members in presentation order.
+    order = np.argsort(labels, kind="stable")
+    splits = np.cumsum(np.bincount(labels))[:-1]
     clusters = []
-    for cid in range(int(labels.max()) + 1):
-        members = labels == cid
+    for cid, members in enumerate(np.split(order, splits)):
+        witnesses = tail_params[members]
         clusters.append(
             RemainderCluster(
                 cluster_id=cid,
                 center=tail_points[members].mean(axis=0),
-                side=_cluster_side(tail_params[members]),
-                witnesses=tail_params[members],
+                side=_cluster_side(witnesses),
+                witnesses=witnesses,
             )
         )
     return CompactificationModel(

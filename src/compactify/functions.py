@@ -76,6 +76,14 @@ def chebyshev_recurrence(n: int, t: np.ndarray | float) -> np.ndarray | float:
 class FunctionDescriptor:
     """Base class for symbolic descriptors of bounded functions on R."""
 
+    def _require_finite(self, *names: str) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(
+                    f"{type(self).__name__}.{name} must be finite, got {value!r}"
+                )
+
     def evaluate(self, x):
         """Evaluate at a float or an ndarray of floats.
 
@@ -107,6 +115,9 @@ class Tanh(FunctionDescriptor):
     a: float = 1.0
     b: float = 0.0
 
+    def __post_init__(self) -> None:
+        self._require_finite("a", "b")
+
     def _raw(self, arr):
         return np.tanh(self.a * arr + self.b)
 
@@ -126,6 +137,9 @@ class Cos(FunctionDescriptor):
 
     a: float = 1.0
     b: float = 0.0
+
+    def __post_init__(self) -> None:
+        self._require_finite("a", "b")
 
     def _raw(self, arr):
         phase = self.a * arr + self.b
@@ -190,6 +204,9 @@ class Const(FunctionDescriptor):
 
     c: float = 0.0
 
+    def __post_init__(self) -> None:
+        self._require_finite("c")
+
     def _raw(self, arr):
         return np.full(arr.shape, float(self.c))
 
@@ -240,6 +257,9 @@ class AffineImage(FunctionDescriptor):
     inner: FunctionDescriptor
     scale: float = 1.0
     shift: float = 0.0
+
+    def __post_init__(self) -> None:
+        self._require_finite("scale", "shift")
 
     def _raw(self, arr):
         return self.scale * np.asarray(self.inner.evaluate(arr)) + self.shift
@@ -341,6 +361,13 @@ class FunctionFamily:
         return cls.from_json(data)
 
 
+def _field(obj: dict, key: str):
+    """A required descriptor field; a missing one is a ValueError."""
+    if key not in obj:
+        raise ValueError(f"{obj['kind']} descriptor needs {key!r}: {obj!r}")
+    return obj[key]
+
+
 def descriptor_from_json(obj: dict) -> FunctionDescriptor:
     """Parse one descriptor from its JSON object form."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -355,12 +382,12 @@ def descriptor_from_json(obj: dict) -> FunctionDescriptor:
     if kind == "stereo_y":
         return StereoY()
     if kind == "cheb":
-        return Cheb(int(obj["n"]), descriptor_from_json(obj["inner"]))
+        return Cheb(int(_field(obj, "n")), descriptor_from_json(_field(obj, "inner")))
     if kind == "const":
-        return Const(float(obj["c"]))
+        return Const(float(_field(obj, "c")))
     if kind == "affine":
         return AffineImage(
-            descriptor_from_json(obj["inner"]),
+            descriptor_from_json(_field(obj, "inner")),
             float(obj.get("scale", 1.0)),
             float(obj.get("shift", 0.0)),
         )

@@ -211,3 +211,43 @@ def test_verify_subset_runs_cheap_criteria(capsys):
     ids = [c["id"] for c in report["result"]["criteria"]]
     assert ids == [1, 3]
     assert report["result"]["all_passed"] is True
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--dims", "0"], ["--dims", "-1"], ["--pairs", "0"], ["--r=0"], ["--r=nan"], ["--r=inf"]],
+)
+def test_metric_check_rejects_degenerate_samples(flags, capsys):
+    assert run(["metric-check", *flags]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_build_rejects_non_finite_params(tmp_path, family_file, value, capsys):
+    out = tmp_path / "m.cptf"
+    flags = [*SMALL_FLAGS, f"--r-tail-hi={value}"]
+    assert run(["build", "--family", family_file, "--out", str(out), *flags]) == 2
+    assert "r_tail_hi must be finite" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_build_rejects_non_finite_descriptor(tmp_path, capsys):
+    fam = write_json(tmp_path / "nan.json", [{"kind": "tanh", "a": float("nan")}])
+    assert run(["build", "--family", fam, "--out", str(tmp_path / "m.cptf")]) == 2
+    assert "Tanh.a must be finite" in _one_line_error(capsys)
+
+
+def test_build_rejects_cheb_without_degree(tmp_path, capsys):
+    fam = write_json(
+        tmp_path / "cheb.json",
+        [{"kind": "tanh"}, {"kind": "cheb", "inner": {"kind": "cos"}}],
+    )
+    assert run(["build", "--family", fam, "--out", str(tmp_path / "m.cptf")]) == 2
+    assert "cheb descriptor needs 'n'" in _one_line_error(capsys)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from compactify.acceptance import chain_family
 from compactify.compactification import (
     BuildParams,
     EmbeddingMap,
+    _tail_grids,
     build_compactification,
     closure_membership,
     greedy_cluster,
@@ -17,7 +19,7 @@ from compactify.compactification import (
     write_remainder_csv,
 )
 from compactify.functions import Cos, FunctionFamily, StereoX, StereoY, Tanh
-from compactify.product_space import ProductPoint
+from compactify.product_space import ProductPoint, capped_distance
 
 from conftest import SMALL
 
@@ -34,6 +36,16 @@ def test_build_params_validation():
     p = BuildParams()
     assert p.tail_step == 10.0 * p.grid_step
     assert BuildParams.from_json(p.to_json()) == p
+
+
+PARAM_FIELDS = ("r_image", "r_tail_lo", "r_tail_hi", "grid_step", "cluster_radius")
+
+
+@pytest.mark.parametrize("field", PARAM_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_build_params_reject_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BuildParams(**{field: value})
 
 
 def test_embed_scalar_matches_array_route():
@@ -71,6 +83,101 @@ def test_greedy_cluster_matches_sequential_reference():
     expected = _reference_cluster([tuple(r) for r in cloud], 0.3)
     got = greedy_cluster(cloud, 0.3)
     assert list(got) == expected
+
+
+def _dense_greedy_cluster(points, radius):
+    # the former dense kernel, kept as an oracle: every block against every
+    # seed, cut at the first founder
+    points = np.asarray(points, dtype=np.float64)
+    n, dim = points.shape
+    labels = np.empty(n, dtype=np.int64)
+    seed_mat = np.empty((0, dim))
+    block = 4096
+    i = 0
+    while i < n:
+        if not seed_mat.shape[0]:
+            seed_mat = points[i : i + 1]
+            labels[i] = 0
+            i += 1
+            continue
+        chunk = points[i : i + block]
+        dists = capped_distance(chunk[:, None, :], seed_mat[None, :, :])
+        nearest = np.argmin(dists, axis=1)
+        within = dists[np.arange(chunk.shape[0]), nearest] <= radius
+        if within.all():
+            labels[i : i + chunk.shape[0]] = nearest
+            i += chunk.shape[0]
+            continue
+        cut = int(np.argmin(within))
+        labels[i : i + cut] = nearest[:cut]
+        labels[i + cut] = seed_mat.shape[0]
+        seed_mat = np.vstack([seed_mat, points[i + cut : i + cut + 1]])
+        i += cut + 1
+    return labels
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_greedy_cluster_matches_dense_search_on_chain_tails(depth):
+    tail = EmbeddingMap(chain_family(depth)).embed_array(np.concatenate(_tail_grids(SMALL)))
+    got = greedy_cluster(tail, SMALL.cluster_radius)
+    assert np.array_equal(got, _dense_greedy_cluster(tail, SMALL.cluster_radius))
+
+
+def test_greedy_cluster_matches_dense_search_with_mid_block_founders():
+    # a slow random walk keeps founding seeds throughout, far past the
+    # first block and at arbitrary offsets inside later ones
+    rng = np.random.default_rng(11)
+    walk = np.cumsum(rng.normal(0.0, 0.01, (5000, 3)), axis=0)
+    got = greedy_cluster(walk, 0.05)
+    founders = np.unique(got, return_index=True)[1]
+    assert founders.size > 200
+    assert np.any(founders > 4096)
+    assert np.array_equal(got, _dense_greedy_cluster(walk, 0.05))
+
+
+def test_greedy_cluster_matches_dense_search_on_random_cloud():
+    rng = np.random.default_rng(5)
+    cloud = rng.uniform(-1.0, 1.0, (3000, 2))
+    got = greedy_cluster(cloud, 0.1)
+    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.1))
+
+
+def test_greedy_cluster_breaks_ties_to_the_earliest_seed():
+    # dyadic grid values make distances exact, so many points sit at the
+    # same distance from several seeds, and many points repeat
+    rng = np.random.default_rng(4)
+    cloud = rng.integers(0, 8, (3000, 2)) * 0.125
+    got = greedy_cluster(cloud, 0.125)
+    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.125))
+    assert list(got[:300]) == _reference_cluster([tuple(r) for r in cloud[:300]], 0.125)
+    tie = np.array([[0.0, 0.0], [0.25, 0.0], [0.125, 0.0], [0.25, 0.0], [0.0, 0.0]])
+    assert list(greedy_cluster(tie, 0.125)) == [0, 1, 0, 1, 0]
+
+
+def test_greedy_cluster_handles_empty_and_single_point_input():
+    empty = greedy_cluster(np.empty((0, 3)), 0.05)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert list(greedy_cluster(np.array([[0.5, -0.5]]), 0.05)) == [0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_greedy_cluster_rejects_non_finite_points(bad):
+    cloud = np.array([[0.0, 0.0], [bad, 0.0], [0.0, 0.01]])
+    with pytest.raises(ValueError, match="finite"):
+        greedy_cluster(cloud, 0.05)
+
+
+def test_cluster_assembly_matches_the_per_label_mask_loop():
+    model = build_compactification(chain_family(3), SMALL)
+    tail_params = np.concatenate(_tail_grids(SMALL))
+    tail_points = model.embedding.embed_array(tail_params)
+    labels = greedy_cluster(tail_points, SMALL.cluster_radius)
+    assert len(model.remainder) == labels.max() + 1
+    for cid, cluster in enumerate(model.remainder):
+        members = labels == cid
+        assert cluster.cluster_id == cid
+        assert np.array_equal(cluster.center, tail_points[members].mean(axis=0))
+        assert np.array_equal(cluster.witnesses, tail_params[members])
 
 
 def test_greedy_cluster_first_point_founds_cluster_zero():

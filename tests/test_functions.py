@@ -253,3 +253,35 @@ def test_injective_leads_separate_sampled_pairs():
         sy.evaluate(xs[keep]) == sy.evaluate(ys[keep])
     )
     assert not np.any(both)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Tanh(a=v),
+        lambda v: Tanh(b=v),
+        lambda v: Cos(a=v),
+        lambda v: Cos(b=v),
+        lambda v: Const(v),
+        lambda v: AffineImage(Tanh(), scale=v),
+        lambda v: AffineImage(Tanh(), shift=v),
+    ],
+)
+def test_descriptors_reject_non_finite_parameters(make, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "cheb", "inner": {"kind": "cos"}},
+        {"kind": "cheb", "n": 3},
+        {"kind": "const"},
+        {"kind": "affine", "scale": 2.0},
+    ],
+)
+def test_descriptor_from_json_missing_field_is_a_value_error(obj):
+    with pytest.raises(ValueError, match="descriptor needs"):
+        descriptor_from_json(obj)
