@@ -243,6 +243,32 @@ def _crit_cosine_obstruction(ctx: AcceptanceContext) -> CriterionResult:
     return CriterionResult(5, "cosine-obstruction", passed, results)
 
 
+def _dense_tail(p: BuildParams) -> np.ndarray:
+    """Both tails at a quarter of the build's tail step."""
+    step = p.tail_step / 4.0
+    count = round((p.r_tail_hi - p.r_tail_lo) / step)
+    plus = np.linspace(p.r_tail_lo, p.r_tail_hi, count + 1)
+    return np.concatenate([-plus[::-1], plus])
+
+
+# Oracle parameters are embedded and measured this many at a time.
+_ORACLE_BLOCK = 8_192
+
+
+def _oracle_cover(embedding, params: np.ndarray, centers: np.ndarray) -> float:
+    """Largest distance from an embedded parameter to its nearest center.
+
+    The embedding is streamed block by block; a max of per-block maxima
+    of element-wise minima is the one-shot value exactly.
+    """
+    cover = 0.0
+    for lo in range(0, params.shape[0], _ORACLE_BLOCK):
+        block = embedding.embed_array(params[lo : lo + _ORACLE_BLOCK])
+        nearest = capped_distance(block[:, None, :], centers[None, :, :]).min(axis=1)
+        cover = max(cover, float(nearest.max()))
+    return cover
+
+
 def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
     """Tanh plus cos leaves two segments at infinity: {-1,+1} x [-1,1].
 
@@ -255,17 +281,8 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
     centers = model.remainder_centers()
     p = model.params
 
-    step = p.tail_step / 4.0
-    count = round((p.r_tail_hi - p.r_tail_lo) / step)
-    plus = np.linspace(p.r_tail_lo, p.r_tail_hi, count + 1)
-    oracle_params = np.concatenate([-plus[::-1], plus])
-    oracle = model.embedding.embed_array(oracle_params)
-
-    cover = 0.0
-    for lo in range(0, oracle.shape[0], 65_536):
-        block = oracle[lo : lo + 65_536, None, :]
-        nearest = capped_distance(block, centers[None, :, :]).min(axis=1)
-        cover = max(cover, float(nearest.max()))
+    oracle_params = _dense_tail(p)
+    cover = _oracle_cover(model.embedding, oracle_params, centers)
 
     # Distance from a center (t, c) to {-1,+1} x [-1,1] in the product
     # metric: the best capped gap in t, the c coordinate already lies in
@@ -281,7 +298,7 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
         passed,
         {
             "clusters": int(centers.shape[0]),
-            "oracle_points": int(oracle.shape[0]),
+            "oracle_points": int(oracle_params.shape[0]),
             "oracle_to_centers_sup": cover,
             "centers_to_segments_sup": proximity,
             "tolerance": 0.05,

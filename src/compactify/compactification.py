@@ -426,12 +426,27 @@ def save_model(model: CompactificationModel, path) -> None:
 
 
 def load_model(path) -> CompactificationModel:
+    """Read a model file written by :func:`save_model`.
+
+    A file that is not a model, or whose body lacks a field or holds one
+    of the wrong type, raises one ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MODEL_MAGIC):
         raise ValueError(f"{path}: not a model file (bad magic)")
-    body = json.loads(blob[len(MODEL_MAGIC):].decode("utf-8"))
+    try:
+        return _model_from_json(json.loads(blob[len(MODEL_MAGIC):].decode("utf-8")))
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed model file: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed model file: {exc}") from exc
+
+
+def _model_from_json(body: dict) -> CompactificationModel:
     family = FunctionFamily.from_json(body["family"])
+    if not isinstance(body["remainder"], list):
+        raise TypeError(f"remainder must be a list, not {type(body['remainder']).__name__}")
     clusters = tuple(
         RemainderCluster(
             cluster_id=int(c["cluster_id"]),

@@ -9,6 +9,7 @@ stays macroscopic (no continuous extension can exist).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -162,11 +163,78 @@ def _validate_deltas(deltas) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValueError("need at least one probe radius")
-    if any(d <= 0 for d in deltas):
+    if not all(d > 0 for d in deltas):  # NaN fails too
         raise ValueError("probe radii must be positive")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("probe radii must be strictly decreasing")
     return deltas
+
+
+@dataclass(frozen=True, eq=False)
+class _WitnessShells:
+    """The probe-independent part of an extend-check on one model.
+
+    ``counts[c, k]`` is the number of cluster c's witnesses whose
+    embeddings lie within ``deltas[k]`` of its center.  ``parts[c]`` holds
+    those within ``deltas[0]``, stably sorted innermost shell first, so
+    the ones within ``deltas[k]`` are its first ``counts[c, k]`` entries.
+    Concatenated, the parts split into (cluster, shell) segments, cluster
+    by cluster and innermost shell first; segment i starts at
+    ``bounds[i]``, and ``bounds[-1]`` is the total.  ``empty`` marks the
+    segments that hold no witness.
+    """
+
+    deltas: tuple[float, ...]
+    counts: np.ndarray  # (clusters, deltas) int
+    parts: tuple[np.ndarray, ...]
+    bounds: np.ndarray  # (clusters * deltas + 1,) int
+    empty: np.ndarray  # (clusters, deltas) bool, segments innermost first
+
+
+# f is evaluated in blocks of this many witnesses: its temporaries then
+# stay small enough to reuse memory instead of faulting in fresh pages.
+_EVAL_BLOCK = 65_536
+
+# One slot per model, for the ladder it was last checked with.  Models
+# hash by identity (eq=False) and are held weakly, so an entry dies with
+# its model.
+_SHELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> _WitnessShells:
+    """The model's shells for ``deltas``: cached, or computed and cached."""
+    shells = _SHELLS.get(model)
+    if shells is not None and shells.deltas == deltas:
+        return shells
+    depth_type = np.min_scalar_type(len(deltas))
+    counts = np.empty((len(model.remainder), len(deltas)), dtype=np.int64)
+    parts = []
+    for c, cluster in enumerate(model.remainder):
+        points = model.embedding.embed_array(cluster.witnesses)
+        dist = distances_to_cloud(cluster.center, points)
+        # A witness lies within all but the last ``depth`` radii of the
+        # decreasing ladder; depth 0 is the innermost shell.  The narrow
+        # dtype lets the stable sort run as a radix sort.
+        depth = np.full(dist.shape[0], len(deltas), dtype=depth_type)
+        for k, delta in enumerate(deltas):
+            within = dist < delta
+            counts[c, k] = np.count_nonzero(within)
+            depth -= within
+        if counts[c, -1] == depth.shape[0]:
+            parts.append(cluster.witnesses)  # all in the innermost shell
+        else:
+            order = np.argsort(depth, kind="stable")[: counts[c, 0]]
+            parts.append(cluster.witnesses[order])
+    sizes = np.diff(counts[:, ::-1], axis=1, prepend=0)  # innermost shell first
+    shells = _WitnessShells(
+        deltas=deltas,
+        counts=counts,
+        parts=tuple(parts),
+        bounds=np.concatenate([[0], np.cumsum(sizes)]),
+        empty=sizes == 0,
+    )
+    _SHELLS[model] = shells
+    return shells
 
 
 def check_extendability(
@@ -187,6 +255,17 @@ def check_extendability(
     oscillation above ``fail_threshold`` on some cluster with at least
     ``MIN_FAIL_WITNESSES`` witnesses means it cannot extend; anything else
     is inconclusive, which is a result, not an error.
+
+    The probe-independent work is cached per model: the first sampled
+    check embeds every witness, measures its distance to its cluster
+    center and keeps, per cluster, the witness count within each radius
+    and the witnesses within the largest radius, innermost first.  Later
+    checks with the same ladder evaluate f on those witnesses only and
+    reduce per (cluster, shell) segment; min and max are exact, so the
+    report is the same as a fresh check's.  The cache holds one slot per
+    model, keyed by the ladder: a check with another ladder replaces it.
+    Models are treated as immutable; the cache is never written to a
+    model file and dies with its model.
     """
     deltas = _validate_deltas(deltas)
     if not model.remainder:
@@ -202,34 +281,44 @@ def check_extendability(
                 coordinate=j,
             )
 
-    smallest = deltas[-1]
+    shells = _witness_shells(model, deltas)
+    short = np.flatnonzero(shells.counts[:, -1] == 0)
+    if short.size:
+        raise InsufficientWitnessesError(
+            f"cluster {model.remainder[short[0]].cluster_id} has no witnesses within "
+            f"delta={deltas[-1]}; rebuild with a denser tail grid "
+            "(smaller grid_step) or a larger smallest delta"
+        )
+    xs = np.concatenate(shells.parts)
+    # One slot past the witnesses holds a sentinel, so the bounds can end
+    # with the total and no segment runs on past its end; the sentinel's
+    # own reduction is dropped.
+    values = np.zeros(xs.shape[0] + 1)
+    for start in range(0, xs.shape[0], _EVAL_BLOCK):
+        block = xs[start : start + _EVAL_BLOCK]
+        values[start : start + block.shape[0]] = f.evaluate(block)
+    lo = np.minimum.reduceat(values, shells.bounds)[:-1].reshape(shells.counts.shape)
+    hi = np.maximum.reduceat(values, shells.bounds)[:-1].reshape(shells.counts.shape)
+    lo[shells.empty] = np.inf
+    hi[shells.empty] = -np.inf
+    # Shells run innermost first, so a running min/max over them covers
+    # the witnesses within each radius, smallest radius first.
+    lo = np.minimum.accumulate(lo, axis=1)[:, ::-1].tolist()
+    hi = np.maximum.accumulate(hi, axis=1)[:, ::-1].tolist()
+
     tables: dict[int, tuple[OscillationRow, ...]] = {}
     final_osc: dict[int, float] = {}
     final_mid: dict[int, float] = {}
     final_count: dict[int, int] = {}
-    for cluster in model.remainder:
-        xs = cluster.witnesses
-        points = model.embedding.embed_array(xs)
-        dist = distances_to_cloud(cluster.center, points)
-        values = np.asarray(f.evaluate(xs), dtype=np.float64)
+    for cluster, counts, lows, highs in zip(model.remainder, shells.counts.tolist(), lo, hi):
         rows = []
-        for delta in deltas:
-            sel = dist < delta
-            count = int(np.count_nonzero(sel))
+        for delta, count, vmin, vmax in zip(deltas, counts, lows, highs):
             if count == 0:
                 rows.append(OscillationRow(delta, 0, None, None))
                 continue
-            vmin = float(values[sel].min())
-            vmax = float(values[sel].max())
             rows.append(OscillationRow(delta, count, vmax - vmin, 0.5 * (vmin + vmax)))
         tables[cluster.cluster_id] = tuple(rows)
         last = rows[-1]
-        if last.count == 0:
-            raise InsufficientWitnessesError(
-                f"cluster {cluster.cluster_id} has no witnesses within "
-                f"delta={smallest}; rebuild with a denser tail grid "
-                "(smaller grid_step) or a larger smallest delta"
-            )
         final_osc[cluster.cluster_id] = last.oscillation
         final_mid[cluster.cluster_id] = last.midpoint
         final_count[cluster.cluster_id] = last.count

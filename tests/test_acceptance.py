@@ -8,11 +8,21 @@ after dropping the timestamp header.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from compactify.acceptance import CRITERIA
+from compactify.acceptance import (
+    _ORACLE_BLOCK,
+    CRITERIA,
+    TWO_COORD_FAMILY,
+    _dense_tail,
+    _oracle_cover,
+)
 from compactify.cli import run
+from compactify.compactification import build_compactification
+from compactify.product_space import capped_distance
+from conftest import SMALL
 
 
 def _announce(capsys, cid: int, name: str, passed: bool, note: str = "") -> None:
@@ -48,3 +58,15 @@ def test_criterion_11_cli_reports_are_reproducible(tmp_path, capsys):
     assert report1["result"]["all_passed"] is True
     assert [c["id"] for c in report1["result"]["criteria"]] == [cid for cid, _, _ in CRITERIA]
     assert blob1 == blob2
+
+
+def test_criterion_6_streamed_cover_equals_the_one_shot_value():
+    model = build_compactification(TWO_COORD_FAMILY, SMALL)
+    centers = model.remainder_centers()
+    # SMALL's oracle fits one block; a ten times finer one spans several,
+    # the last of them partial.
+    for params in (_dense_tail(SMALL), _dense_tail(replace(SMALL, grid_step=0.005))):
+        oracle = model.embedding.embed_array(params)
+        one_shot = capped_distance(oracle[:, None, :], centers[None, :, :]).min(axis=1).max()
+        assert _oracle_cover(model.embedding, params, centers) == float(one_shot)
+    assert params.shape[0] % _ORACLE_BLOCK and params.shape[0] > 2 * _ORACLE_BLOCK

@@ -251,3 +251,47 @@ def test_build_rejects_cheb_without_degree(tmp_path, capsys):
     )
     assert run(["build", "--family", fam, "--out", str(tmp_path / "m.cptf")]) == 2
     assert "cheb descriptor needs 'n'" in _one_line_error(capsys)
+
+
+def _drop_remainder(body):
+    del body["remainder"]
+
+
+def _remainder_not_a_list(body):
+    body["remainder"] = {str(c["cluster_id"]): c for c in body["remainder"]}
+
+
+def _cluster_without_witnesses(body):
+    del body["remainder"][-1]["witnesses"]
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (_drop_remainder, "missing field 'remainder'"),
+        (_remainder_not_a_list, "remainder must be a list"),
+        (_cluster_without_witnesses, "missing field 'witnesses'"),
+    ],
+)
+def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, damage, message, capsys):
+    blob = open(small_model_file, "rb").read()
+    magic, body = blob.split(b"\n", 1)
+    body = json.loads(body)
+    damage(body)
+    bad = tmp_path / "bad.cptf"
+    bad.write_bytes(magic + b"\n" + json.dumps(body).encode())
+    capsys.readouterr()
+    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
+    assert run(["extend-check", "--model", str(bad), "--function", fn]) == 2
+    err = _one_line_error(capsys)
+    assert str(bad) in err and message in err
+    assert run(["remainder", "--model", str(bad)]) == 2
+    assert message in _one_line_error(capsys)
+
+
+def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):
+    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
+    capsys.readouterr()
+    argv = ["extend-check", "--model", small_model_file, "--function", fn]
+    assert run([*argv, "--deltas", "0.2,nan,0.01"]) == 2
+    assert "probe radii must be positive" in _one_line_error(capsys)

@@ -1,15 +1,29 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from compactify.compactification import BuildParams, build_compactification
+from compactify import extension
+from compactify.acceptance import chain_family
+from compactify.compactification import (
+    BuildParams,
+    EmbeddingMap,
+    build_compactification,
+    load_model,
+    save_model,
+)
 from compactify.extension import (
     DEFAULT_DELTAS,
+    FAIL_THRESHOLD,
+    MIN_FAIL_WITNESSES,
+    PASS_THRESHOLD,
     ChebyshevExtension,
+    ExtensionReport,
     InsufficientWitnessesError,
+    OscillationRow,
     ProjectionExtension,
     Verdict,
     check_extendability,
@@ -17,7 +31,8 @@ from compactify.extension import (
     extend_by_projection,
 )
 from compactify.functions import AffineImage, Cheb, Cos, StereoX, StereoY, Tanh
-
+from compactify.product_space import distances_to_cloud
+from conftest import SMALL
 
 
 def test_family_member_short_circuits_to_projection(gamma_model):
@@ -133,6 +148,9 @@ def test_delta_ladder_validation(gamma_model):
         check_extendability(gamma_model, Cos(2.0, 0.0), deltas=(0.01, 0.1))
     with pytest.raises(ValueError):
         check_extendability(gamma_model, Cos(2.0, 0.0), deltas=(0.1, -0.01))
+    for deltas in ((math.nan,), (0.2, math.nan, 0.01)):
+        with pytest.raises(ValueError):
+            check_extendability(gamma_model, Cos(2.0, 0.0), deltas=deltas)
 
 
 def test_report_json_shape(gamma_model):
@@ -159,3 +177,186 @@ def test_cosine_failure_survives_tail_range_changes(r_lo):
         report = check_extendability(model, Cos())
         assert report.verdict is Verdict.FAILS_TO_EXTEND
         assert report.oscillation is not None and report.oscillation > 0.5
+
+
+def _per_cluster_check(model, f, deltas=DEFAULT_DELTAS):
+    """The uncached extend-check: embed, measure and mask every witness of
+    every cluster on each call.  Oracle for the cached segment reductions."""
+    deltas = tuple(float(d) for d in deltas)
+    tables = {}
+    final_osc, final_mid, final_count = {}, {}, {}
+    for cluster in model.remainder:
+        xs = cluster.witnesses
+        dist = distances_to_cloud(cluster.center, model.embedding.embed_array(xs))
+        values = np.asarray(f.evaluate(xs), dtype=np.float64)
+        rows = []
+        for delta in deltas:
+            sel = dist < delta
+            count = int(np.count_nonzero(sel))
+            if count == 0:
+                rows.append(OscillationRow(delta, 0, None, None))
+                continue
+            vmin = float(values[sel].min())
+            vmax = float(values[sel].max())
+            rows.append(OscillationRow(delta, count, vmax - vmin, 0.5 * (vmin + vmax)))
+        tables[cluster.cluster_id] = tuple(rows)
+        last = rows[-1]
+        if last.count == 0:
+            raise InsufficientWitnessesError(
+                f"cluster {cluster.cluster_id} has no witnesses within "
+                f"delta={deltas[-1]}; rebuild with a denser tail grid "
+                "(smaller grid_step) or a larger smallest delta"
+            )
+        final_osc[cluster.cluster_id] = last.oscillation
+        final_mid[cluster.cluster_id] = last.midpoint
+        final_count[cluster.cluster_id] = last.count
+    common = dict(
+        deltas=deltas,
+        pass_threshold=PASS_THRESHOLD,
+        fail_threshold=FAIL_THRESHOLD,
+        tables=tables,
+    )
+    if all(o < PASS_THRESHOLD for o in final_osc.values()):
+        return ExtensionReport(verdict=Verdict.EXTENDS_NUMERICALLY, values=final_mid, **common)
+    failing = [
+        cid
+        for cid, o in final_osc.items()
+        if o > FAIL_THRESHOLD and final_count[cid] >= MIN_FAIL_WITNESSES
+    ]
+    if failing:
+        worst = max(failing, key=lambda cid: (final_osc[cid], -cid))
+        return ExtensionReport(
+            verdict=Verdict.FAILS_TO_EXTEND,
+            failing_cluster=worst,
+            oscillation=final_osc[worst],
+            witness_count=final_count[worst],
+            **common,
+        )
+    return ExtensionReport(
+        verdict=Verdict.INCONCLUSIVE, oscillation=max(final_osc.values()), **common
+    )
+
+
+def _outcome(check, model, f, deltas):
+    try:
+        return check(model, f, deltas=deltas).to_json()
+    except InsufficientWitnessesError as exc:
+        return {"error": str(exc)}
+
+
+EQUIVALENCE_PROBES = [Cos(math.sqrt(2.0), 0.3), Tanh(0.5, 1.0), Cheb(3, Cos()), StereoY()]
+EQUIVALENCE_LADDERS = [
+    DEFAULT_DELTAS,
+    (0.05,),
+    (0.3, 0.2, 0.1, 0.05, 0.03, 0.02, 0.01, 0.005, 0.002),
+    # No witness lies 3 or more from its center: the outer shells are empty.
+    (4.0, 3.0, 0.1, 0.02),
+]
+
+
+def _assert_matches_oracle(model, f, deltas):
+    got = _outcome(check_extendability, model, f, deltas)
+    assert got == _outcome(_per_cluster_check, model, f, deltas)
+    return got
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_cached_check_matches_per_cluster_loop_on_chain_levels(level):
+    model = build_compactification(chain_family(level), SMALL)
+    outcomes = [
+        _assert_matches_oracle(model, f, deltas)
+        for deltas in EQUIVALENCE_LADDERS
+        for f in EQUIVALENCE_PROBES
+    ]
+    assert any("verdict" in o for o in outcomes)
+
+
+def test_cached_check_matches_per_cluster_loop_at_the_default_window(gamma_model):
+    for deltas in (DEFAULT_DELTAS, (0.05, 0.02, 0.01, 0.005, 0.002)):
+        for f in (Cos(math.sqrt(2.0), 0.0), Cheb(2, Cos())):
+            assert "verdict" in _assert_matches_oracle(gamma_model, f, deltas)
+
+
+def test_cached_check_matches_per_cluster_loop_on_a_loaded_model(tmp_path):
+    built = build_compactification(chain_family(3), SMALL)
+    path = tmp_path / "chain3.cptf"
+    save_model(built, path)
+    loaded = load_model(path)
+    for deltas in EQUIVALENCE_LADDERS:
+        for f in EQUIVALENCE_PROBES:
+            want = _outcome(_per_cluster_check, built, f, deltas)
+            assert _outcome(check_extendability, loaded, f, deltas) == want
+            assert _outcome(check_extendability, built, f, deltas) == want
+
+
+def test_interleaved_ladders_replace_the_cache_slot():
+    model = build_compactification(chain_family(4), SMALL)
+    first, second = DEFAULT_DELTAS, (0.3, 0.1, 0.03)
+    for deltas in (first, second, first, second, second, first):
+        for f in EQUIVALENCE_PROBES[:2]:
+            _assert_matches_oracle(model, f, deltas)
+            assert extension._SHELLS[model].deltas == deltas
+
+
+def test_repeat_checks_embed_the_witnesses_once(monkeypatch):
+    model = build_compactification(chain_family(3), SMALL)
+    calls = []
+    original = EmbeddingMap.embed_array
+
+    def counting(self, xs):
+        calls.append(len(xs))
+        return original(self, xs)
+
+    monkeypatch.setattr(EmbeddingMap, "embed_array", counting)
+    check_extendability(model, Cos(math.sqrt(2.0), 0.3))
+    assert len(calls) == len(model.remainder)
+    check_extendability(model, Tanh(0.5, 1.0))
+    check_extendability(model, StereoY())
+    assert len(calls) == len(model.remainder)
+    check_extendability(model, StereoY(), deltas=(0.2, 0.1))
+    assert len(calls) == 2 * len(model.remainder)
+    # a projection verdict samples nothing and leaves the slot alone
+    check_extendability(model, Tanh())
+    assert len(calls) == 2 * len(model.remainder)
+    assert extension._SHELLS[model].deltas == (0.2, 0.1)
+
+
+def test_insufficient_witnesses_message_is_unchanged():
+    params = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=100.0, grid_step=0.05)
+    model = build_compactification((StereoX(), StereoY()), params)
+    for deltas in (DEFAULT_DELTAS, (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)):
+        with pytest.raises(InsufficientWitnessesError) as oracle:
+            _per_cluster_check(model, Cos(), deltas)
+        with pytest.raises(InsufficientWitnessesError) as cached:
+            check_extendability(model, Cos(), deltas=deltas)
+        assert str(cached.value) == str(oracle.value)
+    # the first cluster in order that runs short is the one named, also
+    # when earlier clusters are fine
+    chain = build_compactification(chain_family(5), SMALL)
+    deltas = (0.05, 0.02, 0.01, 0.005, 0.002)
+    with pytest.raises(InsufficientWitnessesError) as oracle:
+        _per_cluster_check(chain, Cos(math.sqrt(2.0), 0.3), deltas)
+    assert not str(oracle.value).startswith("cluster 0 ")
+    with pytest.raises(InsufficientWitnessesError) as cached:
+        check_extendability(chain, Cos(math.sqrt(2.0), 0.3), deltas=deltas)
+    assert str(cached.value) == str(oracle.value)
+
+
+def test_checks_leave_the_model_file_unchanged(tmp_path):
+    model = build_compactification(chain_family(2), SMALL)
+    before, after = tmp_path / "before.cptf", tmp_path / "after.cptf"
+    save_model(model, before)
+    check_extendability(model, Cos(math.sqrt(2.0), 0.3))
+    assert model in extension._SHELLS
+    save_model(model, after)
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_cache_entry_dies_with_its_model():
+    extension._SHELLS.clear()
+    model = build_compactification(chain_family(2), SMALL)
+    check_extendability(model, Cos(math.sqrt(2.0), 0.3))
+    assert len(extension._SHELLS) == 1
+    del model
+    gc.collect()
+    assert len(extension._SHELLS) == 0
