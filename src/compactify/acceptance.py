@@ -1,7 +1,8 @@
 """Self-contained acceptance checks for the whole package.
 
 Each criterion is a function from a shared context (seed plus a model
-cache) to a result with a pass flag and deterministic measured details.
+cache) to a pass flag and deterministic measured details; its id and name
+live only in ``CRITERIA``.
 The ``verify`` subcommand runs them all and emits a JSON report whose
 body is reproducible bit for bit; timestamps live only in the report
 header.
@@ -103,7 +104,7 @@ class CriterionResult:
         }
 
 
-def _crit_chebyshev_identity(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_chebyshev_identity(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """T_n(cos x) must reproduce cos(n x) to 1e-9 for n = 1..12."""
     xs = np.linspace(-50.0, 50.0, 10_000)
     worst = 0.0
@@ -114,9 +115,7 @@ def _crit_chebyshev_identity(ctx: AcceptanceContext) -> CriterionResult:
         err = float(np.abs(expanded - direct).max())
         if err > worst:
             worst, worst_n = err, n
-    return CriterionResult(
-        1,
-        "chebyshev-identity",
+    return (
         worst <= 1e-9,
         {"sup_error": worst, "worst_degree": worst_n, "grid": 10_000, "tolerance": 1e-9},
     )
@@ -158,7 +157,7 @@ def metric_sample(
     return details, report
 
 
-def _crit_metric_axioms(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_metric_axioms(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Metric axioms on random triples plus both ball/cylinder inclusions."""
     n = 10_000
     details, report = metric_sample(ctx.rng(2), n, dim=5, half_count=75, r=0.3)
@@ -169,10 +168,10 @@ def _crit_metric_axioms(ctx: AcceptanceContext) -> CriterionResult:
         and report.ok
         and report.pairs_checked >= 10_000
     )
-    return CriterionResult(2, "metric-axioms", passed, {"triples": n, **details})
+    return passed, {"triples": n, **details}
 
 
-def _crit_truncation_bound(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_truncation_bound(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Dropping coordinates 3..19 moves no distance by more than 2^-2."""
     rng = ctx.rng(3)
     x, y = rng.uniform(-1.0, 1.0, (2, 10_000, 20))
@@ -181,15 +180,13 @@ def _crit_truncation_bound(ctx: AcceptanceContext) -> CriterionResult:
     gap = float(np.abs(d_full - d_head).max())
     bound = tail_bound(3)
     halving = all(tail_bound(n + 1) == tail_bound(n) / 2.0 for n in range(1, 20))
-    return CriterionResult(
-        3,
-        "truncation-bound",
+    return (
         gap <= bound and bound == 0.25 and halving,
         {"max_gap": gap, "bound": bound, "halving_exact": halving},
     )
 
 
-def _crit_canonical_remainders(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_canonical_remainders(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """The circle family leaves one point at infinity, tanh leaves two."""
     one = ctx.model(ONE_POINT_FAMILY)
     two = ctx.model(TWO_POINT_FAMILY)
@@ -207,9 +204,7 @@ def _crit_canonical_remainders(ctx: AcceptanceContext) -> CriterionResult:
         and abs(two_centers[1] - 1.0) <= 0.01
         and sorted(c.side for c in two.remainder) == ["+inf", "-inf"]
     )
-    return CriterionResult(
-        4,
-        "canonical-remainders",
+    return (
         one_ok and two_ok,
         {
             "one_point_clusters": int(one_centers.shape[0]),
@@ -221,7 +216,7 @@ def _crit_canonical_remainders(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _crit_cosine_obstruction(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_cosine_obstruction(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """cos has no continuous extension to either canonical remainder."""
     results = {}
     passed = True
@@ -240,7 +235,7 @@ def _crit_cosine_obstruction(ctx: AcceptanceContext) -> CriterionResult:
             "oscillation": report.oscillation,
             "witness_count": report.witness_count,
         }
-    return CriterionResult(5, "cosine-obstruction", passed, results)
+    return passed, results
 
 
 def _dense_tail(p: BuildParams) -> np.ndarray:
@@ -269,7 +264,7 @@ def _oracle_cover(embedding, params: np.ndarray, centers: np.ndarray) -> float:
     return cover
 
 
-def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Tanh plus cos leaves two segments at infinity: {-1,+1} x [-1,1].
 
     The clusters are compared against a brute-force oracle: a tail
@@ -292,9 +287,7 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
                           np.minimum(1.0, np.abs(centers[:, 0] + 1.0))))
     )
     passed = cover <= 0.05 and proximity <= 0.05
-    return CriterionResult(
-        6,
-        "two-coordinate-remainder",
+    return (
         passed,
         {
             "clusters": int(centers.shape[0]),
@@ -306,7 +299,7 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _crit_projection_exactness(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_projection_exactness(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Coordinate projections reproduce family members with zero error."""
     families = [TWO_POINT_FAMILY, ONE_POINT_FAMILY, TWO_COORD_FAMILY, chain_family(3)]
     checked = 0
@@ -319,15 +312,13 @@ def _crit_projection_exactness(ctx: AcceptanceContext) -> CriterionResult:
             expected = f.evaluate(model.image_params)
             exact = exact and bool(np.array_equal(reproduced, expected))
             checked += 1
-    return CriterionResult(
-        7,
-        "projection-exactness",
+    return (
         exact,
         {"coordinates_checked": checked, "models": len(families), "max_error": 0.0 if exact else None},
     )
 
 
-def _crit_comparison_witnesses(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_comparison_witnesses(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Coordinate-subset comparisons and a Chebyshev equivalence."""
     two = ctx.model(TWO_POINT_FAMILY)
     pair = ctx.model(TWO_COORD_FAMILY)
@@ -347,9 +338,7 @@ def _crit_comparison_witnesses(ctx: AcceptanceContext) -> CriterionResult:
         and res2 <= 1e-9
         and equiv
     )
-    return CriterionResult(
-        8,
-        "comparison-witnesses",
+    return (
         passed,
         {
             "pair_over_two_residual": res1,
@@ -359,7 +348,7 @@ def _crit_comparison_witnesses(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _crit_strict_enlargement(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_strict_enlargement(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Adjoining cos to the tanh family is a strict enlargement."""
     two = ctx.model(TWO_POINT_FAMILY)
     result = enlarge(two, Cos())
@@ -369,9 +358,7 @@ def _crit_strict_enlargement(ctx: AcceptanceContext) -> CriterionResult:
         and new_report.verdict != Verdict.FAILS_TO_EXTEND
     )
     passed = result.strict and sound and new_report.verdict == Verdict.EXTENDS_BY_PROJECTION
-    return CriterionResult(
-        9,
-        "strict-enlargement",
+    return (
         passed,
         {
             "strict": result.strict,
@@ -382,7 +369,7 @@ def _crit_strict_enlargement(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _crit_chain_and_limit(ctx: AcceptanceContext) -> CriterionResult:
+def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """A five-level chain: bonds, threads, lifts and the limit model."""
     levels = [ctx.model(chain_family(k)) for k in range(1, 6)]
     system = InverseSystem.from_levels(levels)
@@ -442,9 +429,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> CriterionResult:
         and limit_ok
         and all(r is not None and r <= 1e-9 for r in limit_residuals)
     )
-    return CriterionResult(
-        10,
-        "chain-and-limit",
+    return (
         passed,
         {
             "levels": system.depth,
@@ -459,7 +444,8 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[AcceptanceContext], CriterionResult]], ...] = (
+# The only place each criterion's id and name are written.
+CRITERIA: tuple[tuple[int, str, Callable[[AcceptanceContext], tuple[bool, dict]]], ...] = (
     (1, "chebyshev-identity", _crit_chebyshev_identity),
     (2, "metric-axioms", _crit_metric_axioms),
     (3, "truncation-bound", _crit_truncation_bound),
@@ -476,13 +462,21 @@ CRITERIA: tuple[tuple[int, str, Callable[[AcceptanceContext], CriterionResult]],
 def run_criteria(
     ctx: AcceptanceContext, ids: tuple[int, ...] | None = None
 ) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) against one context."""
-    wanted = set(ids) if ids is not None else None
-    out = []
-    for cid, _, fn in CRITERIA:
-        if wanted is None or cid in wanted:
-            out.append(fn(ctx))
-    return out
+    """Run the selected criteria (all by default) against one context,
+    in table order.  Unknown, repeated or no ids are a ``ValueError``."""
+    if ids is not None:
+        unknown = sorted(set(ids) - {cid for cid, _, _ in CRITERIA})
+        repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
+        if unknown or repeated or not ids:
+            raise ValueError(
+                f"criteria must be distinct known ids (1-{len(CRITERIA)}): "
+                f"unknown {unknown}, repeated {repeated}"
+            )
+    return [
+        CriterionResult(cid, name, *fn(ctx))
+        for cid, name, fn in CRITERIA
+        if ids is None or cid in ids
+    ]
 
 
 def verify_report_body(seed: int, ids: tuple[int, ...] | None = None) -> dict:

@@ -1,10 +1,15 @@
 """Command line front end.
 
+Each subcommand returns its exit code, resolved configuration and result;
+``run()`` writes every report, as strict JSON.  It adds the command name
+and the seed to the configuration and confines wall-clock data to the
+report header, so report bodies are reproducible byte for byte.
+
 Exit codes: 0 success, 2 usage or input error, 3 a negative but valid
 result (incomparable models, a function that fails to extend, a non-strict
-enlargement), 4 a numeric tolerance failure.  Every JSON report embeds the
-resolved run configuration and the seed; wall-clock data is confined to
-the report header so report bodies are reproducible byte for byte.
+enlargement), 4 a numeric failure (a failed check, a cluster short of
+witnesses, an enlargement that fails to dominate).  Errors print one line
+to stderr and write no report.
 """
 from __future__ import annotations
 
@@ -27,15 +32,10 @@ from .compactification import (
     save_model,
     write_remainder_csv,
 )
-from .extension import (
-    DEFAULT_DELTAS,
-    InsufficientWitnessesError,
-    Verdict,
-    check_extendability,
-)
+from .extension import DEFAULT_DELTAS, InsufficientWitnessesError, Verdict, check_extendability
 from .functions import FunctionFamily, descriptor_from_json
 from .inverse_limit import InverseSystem, chain_limit
-from .ordering import ComparisonWitness, compare, enlarge
+from .ordering import ComparisonWitness, DominationError, compare, enlarge
 from .product_space import write_point_cloud_csv
 
 EXIT_OK = 0
@@ -44,17 +44,26 @@ EXIT_NEGATIVE = 3
 EXIT_NUMERIC = 4
 
 
+# Exit code of each error that ends a command with one stderr line.  A
+# plain RuntimeError is a bug and keeps its traceback.
+_ERROR_EXITS = {
+    OSError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,  # json.JSONDecodeError among them
+    InsufficientWitnessesError: EXIT_NUMERIC,
+    DominationError: EXIT_NUMERIC,
+}
+
+
 def _emit(result: dict, config: dict, started: float, path: str | None) -> None:
     report = {
         "header": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": time.monotonic() - started,
         },
-        # "workers" is a fixed 1, kept so the config block keeps its shape.
-        "config": {**config, "workers": 1},
+        "config": config,
         "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -62,22 +71,13 @@ def _emit(result: dict, config: dict, started: float, path: str | None) -> None:
 
 
 def _build_params(args) -> BuildParams:
-    return BuildParams(
-        r_image=args.r_image,
-        r_tail_lo=args.r_tail_lo,
-        r_tail_hi=args.r_tail_hi,
-        grid_step=args.grid_step,
-        cluster_radius=args.cluster_radius,
-    )
+    return BuildParams(**{name: getattr(args, name) for name in BuildParams().to_json()})
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    d = BuildParams()
-    sub.add_argument("--r-image", type=float, default=d.r_image)
-    sub.add_argument("--r-tail-lo", type=float, default=d.r_tail_lo)
-    sub.add_argument("--r-tail-hi", type=float, default=d.r_tail_hi)
-    sub.add_argument("--grid-step", type=float, default=d.grid_step)
-    sub.add_argument("--cluster-radius", type=float, default=d.cluster_radius)
+    """One float flag per BuildParams field: --r-image, ..., --cluster-radius."""
+    for name, default in BuildParams().to_json().items():
+        sub.add_argument("--" + name.replace("_", "-"), type=float, default=default)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -102,8 +102,7 @@ def _cluster_summary(model) -> list[dict]:
     ]
 
 
-def _cmd_build(args) -> int:
-    started = time.monotonic()
+def _cmd_build(args) -> tuple[int, dict, dict]:
     family = FunctionFamily.from_file(args.family)
     params = _build_params(args)
     model = build_compactification(family, params)
@@ -113,127 +112,82 @@ def _cmd_build(args) -> int:
     if args.image_csv:
         write_point_cloud_csv(args.image_csv, model.image_points)
     config = {
-        "command": "build",
         "family": family.to_json(),
         "params": params.to_json(),
         "out": str(args.out),
         "remainder_csv": args.remainder_csv,
         "image_csv": args.image_csv,
-        "seed": args.seed,
     }
-    _emit(
-        {
-            "image_points": int(model.image_points.shape[0]),
-            "clusters": _cluster_summary(model),
-        },
-        config,
-        started,
-        args.json_report,
-    )
-    return EXIT_OK
+    result = {
+        "image_points": int(model.image_points.shape[0]),
+        "clusters": _cluster_summary(model),
+    }
+    return EXIT_OK, config, result
 
 
-def _cmd_extend_check(args) -> int:
-    started = time.monotonic()
+def _cmd_extend_check(args) -> tuple[int, dict, dict]:
     model = load_model(args.model)
     f = _load_descriptor(args.function)
     deltas = DEFAULT_DELTAS
     if args.deltas:
         deltas = tuple(float(v) for v in args.deltas.split(","))
     config = {
-        "command": "extend-check",
         "model": str(args.model),
         "function": f.to_json(),
         "deltas": list(deltas),
         "expect_extends": bool(args.expect_extends),
-        "seed": args.seed,
     }
     try:
         report = check_extendability(model, f, deltas=deltas)
     except InsufficientWitnessesError as exc:
-        _emit({"error": str(exc)}, config, started, args.json_report)
-        return EXIT_NUMERIC
-    payload = report.to_json()
+        # Reported, not printed: the check ran and found too few witnesses.
+        return EXIT_NUMERIC, config, {"error": str(exc)}
+    result = report.to_json()
     extends = report.verdict in (Verdict.EXTENDS_BY_PROJECTION, Verdict.EXTENDS_NUMERICALLY)
     if args.expect_extends:
-        payload["expectation_met"] = extends
-    _emit(payload, config, started, args.json_report)
-    return EXIT_OK if extends else EXIT_NEGATIVE
+        result["expectation_met"] = extends
+    return (EXIT_OK if extends else EXIT_NEGATIVE), config, result
 
 
-def _cmd_compare(args) -> int:
-    started = time.monotonic()
+def _cmd_compare(args) -> tuple[int, dict, dict]:
     larger = load_model(args.larger)
     smaller = load_model(args.smaller)
-    config = {
-        "command": "compare",
-        "larger": str(args.larger),
-        "smaller": str(args.smaller),
-        "seed": args.seed,
-    }
+    config = {"larger": str(args.larger), "smaller": str(args.smaller)}
     outcome = compare(larger, smaller)
     if isinstance(outcome, ComparisonWitness):
-        _emit(
-            {
-                "comparable": True,
-                "mapping": outcome.mapping_json(),
-                "residual": outcome.residual,
-                "onto_defect": outcome.onto_defect,
-            },
-            config,
-            started,
-            args.json_report,
-        )
-        return EXIT_OK
-    _emit({"comparable": False, "reason": outcome.reason}, config, started, args.json_report)
-    return EXIT_NEGATIVE
+        return EXIT_OK, config, {
+            "comparable": True,
+            "mapping": outcome.mapping_json(),
+            "residual": outcome.residual,
+            "onto_defect": outcome.onto_defect,
+        }
+    return EXIT_NEGATIVE, config, {"comparable": False, "reason": outcome.reason}
 
 
-def _cmd_enlarge(args) -> int:
-    started = time.monotonic()
+def _cmd_enlarge(args) -> tuple[int, dict, dict]:
     model = load_model(args.model)
     f = _load_descriptor(args.function)
-    config = {
-        "command": "enlarge",
-        "model": str(args.model),
-        "function": f.to_json(),
-        "out": str(args.out),
-        "seed": args.seed,
-    }
     result = enlarge(model, f)
     save_model(result.model, args.out)
-    _emit(
-        {
-            "strict": result.strict,
-            "old_verdict": result.old_report.verdict.value,
-            "witness_residual": result.witness.residual,
-            "old_clusters": len(model.remainder),
-            "new_clusters": len(result.model.remainder),
-        },
-        config,
-        started,
-        args.json_report,
-    )
-    return EXIT_OK if result.strict else EXIT_NEGATIVE
+    config = {"model": str(args.model), "function": f.to_json(), "out": str(args.out)}
+    return (EXIT_OK if result.strict else EXIT_NEGATIVE), config, {
+        "strict": result.strict,
+        "old_verdict": result.old_report.verdict.value,
+        "witness_residual": result.witness.residual,
+        "old_clusters": len(model.remainder),
+        "new_clusters": len(result.model.remainder),
+    }
 
 
-def _cmd_remainder(args) -> int:
-    started = time.monotonic()
+def _cmd_remainder(args) -> tuple[int, dict, dict]:
     model = load_model(args.model)
     if args.csv:
         write_remainder_csv(model, args.csv)
-    config = {
-        "command": "remainder",
-        "model": str(args.model),
-        "csv": args.csv,
-        "seed": args.seed,
-    }
-    _emit({"clusters": _cluster_summary(model)}, config, started, args.json_report)
-    return EXIT_OK
+    config = {"model": str(args.model), "csv": args.csv}
+    return EXIT_OK, config, {"clusters": _cluster_summary(model)}
 
 
-def _cmd_metric_check(args) -> int:
-    started = time.monotonic()
+def _cmd_metric_check(args) -> tuple[int, dict, dict]:
     if args.dims < 1 or args.pairs < 1 or not 0.0 < args.r < math.inf:
         raise ValueError("metric-check needs --dims >= 1, --pairs >= 1 and a finite --r > 0")
     n = args.pairs
@@ -243,19 +197,11 @@ def _cmd_metric_check(args) -> int:
     )
     del details["identity"]
     details["ok"] = details["symmetric"] and details["triangle_slack"] <= 1e-12 and report.ok
-    config = {
-        "command": "metric-check",
-        "dims": args.dims,
-        "pairs": n,
-        "r": args.r,
-        "seed": args.seed,
-    }
-    _emit(details, config, started, args.json_report)
-    return EXIT_OK if details["ok"] else EXIT_NUMERIC
+    config = {"dims": args.dims, "pairs": n, "r": args.r}
+    return (EXIT_OK if details["ok"] else EXIT_NUMERIC), config, details
 
 
-def _cmd_chain_demo(args) -> int:
-    started = time.monotonic()
+def _cmd_chain_demo(args) -> tuple[int, dict, dict]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = _build_params(args)
@@ -279,41 +225,25 @@ def _cmd_chain_demo(args) -> int:
                 "residual": w.residual if isinstance(w, ComparisonWitness) else None,
             }
         )
-    config = {
-        "command": "chain-demo",
-        "levels": args.levels,
-        "out_dir": str(out_dir),
-        "params": params.to_json(),
-        "seed": args.seed,
+    config = {"levels": args.levels, "out_dir": str(out_dir), "params": params.to_json()}
+    return EXIT_OK, config, {
+        "bond_residuals": [w.residual for w in system.bonds],
+        "cluster_counts": [len(m.remainder) for m in levels],
+        "limit_clusters": len(limit.remainder),
+        "limit_comparisons": limit_comparisons,
     }
-    _emit(
-        {
-            "bond_residuals": [w.residual for w in system.bonds],
-            "cluster_counts": [len(m.remainder) for m in levels],
-            "limit_clusters": len(limit.remainder),
-            "limit_comparisons": limit_comparisons,
-        },
-        config,
-        started,
-        args.json_report,
-    )
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[int, dict, dict]:
     ids = None
     if args.criteria:
         ids = tuple(int(v) for v in args.criteria.split(","))
     body = verify_report_body(args.seed, ids)
     config = {
-        "command": "verify",
         "all": bool(args.all or not args.criteria),
         "criteria": list(ids) if ids else [cid for cid, _, _ in CRITERIA],
-        "seed": args.seed,
     }
-    _emit(body, config, started, args.json_report)
-    return EXIT_OK if body["all_passed"] else EXIT_NUMERIC
+    return (EXIT_OK if body["all_passed"] else EXIT_NUMERIC), config, body
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,16 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the only place a report is written or an error mapped."""
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.fn(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        code, config, result = args.fn(args)
+        # "workers" is a fixed 1, kept so the config block keeps its shape.
+        config = {**config, "command": args.command, "seed": args.seed, "workers": 1}
+        _emit(result, config, started, args.json_report)
+        return code
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InsufficientWitnessesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ from .product_space import ProductPoint, Space, capped_distance, distances_to_cl
 
 __all__ = [
     "MODEL_MAGIC",
+    "MAX_SAMPLES",
     "BuildParams",
     "EmbeddingMap",
     "RemainderCluster",
@@ -36,6 +37,17 @@ __all__ = [
 
 MODEL_MAGIC = b"CPTF1\n"
 
+# Most parameters one build may sample, image grid and both tail grids
+# together: 68 times the 490 003 of the default window.  A finer grid is
+# rejected before anything is allocated.
+MAX_SAMPLES = 2**25
+
+
+def _steps(span: float, step: float) -> int:
+    """Grid intervals of ``step`` across ``span``, saturating at MAX_SAMPLES
+    so a quotient that overflows to inf still compares."""
+    return round(min(span / step, MAX_SAMPLES))
+
 
 @dataclass(frozen=True)
 class BuildParams:
@@ -44,7 +56,8 @@ class BuildParams:
     The image grid covers [-r_image, r_image] with step ``grid_step``; the
     two tail grids cover +-[r_tail_lo, r_tail_hi] with a step ten times
     coarser.  ``cluster_radius`` is the capture radius of the greedy
-    remainder clustering.
+    remainder clustering.  The three grids together may hold at most
+    ``MAX_SAMPLES`` parameters.
     """
 
     r_image: float = 50.0
@@ -63,6 +76,13 @@ class BuildParams:
             raise ValueError("grid_step must be positive")
         if self.cluster_radius <= 0:
             raise ValueError("cluster_radius must be positive")
+        image = _steps(2.0 * self.r_image, self.grid_step) + 1
+        tails = 2 * (_steps(self.r_tail_hi - self.r_tail_lo, self.tail_step) + 1)
+        if image + tails > MAX_SAMPLES:
+            raise ValueError(
+                f"grid_step {self.grid_step!r} asks for more than {MAX_SAMPLES} samples; "
+                "use a larger grid_step or a narrower window"
+            )
 
     @property
     def tail_step(self) -> float:
@@ -171,12 +191,12 @@ def _image_grid(params: BuildParams) -> np.ndarray:
         raise ValueError(
             "image grid is empty: grid_step exceeds the parameter window"
         )
-    steps = round(2.0 * params.r_image / params.grid_step)
+    steps = _steps(2.0 * params.r_image, params.grid_step)
     return np.linspace(-params.r_image, params.r_image, steps + 1)
 
 
 def _tail_grids(params: BuildParams) -> tuple[np.ndarray, np.ndarray]:
-    steps = round((params.r_tail_hi - params.r_tail_lo) / params.tail_step)
+    steps = _steps(params.r_tail_hi - params.r_tail_lo, params.tail_step)
     if steps < 1:
         raise ValueError("tail grid is empty: tail step exceeds the tail window")
     plus = np.linspace(params.r_tail_lo, params.r_tail_hi, steps + 1)

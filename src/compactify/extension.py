@@ -122,9 +122,9 @@ class OscillationRow:
 class ExtensionReport:
     verdict: Verdict
     deltas: tuple[float, ...]
-    pass_threshold: float
-    fail_threshold: float
     tables: dict[int, tuple[OscillationRow, ...]]
+    pass_threshold: float = PASS_THRESHOLD
+    fail_threshold: float = FAIL_THRESHOLD
     coordinate: int | None = None
     values: dict[int, float] | None = None
     failing_cluster: int | None = None
@@ -241,8 +241,6 @@ def check_extendability(
     model: CompactificationModel,
     f: FunctionDescriptor,
     deltas=DEFAULT_DELTAS,
-    pass_threshold: float = PASS_THRESHOLD,
-    fail_threshold: float = FAIL_THRESHOLD,
 ) -> ExtensionReport:
     """Decide whether f extends continuously to the model's remainder.
 
@@ -250,9 +248,9 @@ def check_extendability(
     any sampling.  Otherwise, for every remainder cluster and every probe
     radius delta, the oscillation max - min of f over tail witnesses whose
     embeddings lie within delta of the cluster center is tabulated.  At the
-    smallest radius: oscillation below ``pass_threshold`` on every cluster
+    smallest radius: oscillation below ``PASS_THRESHOLD`` on every cluster
     means f extends numerically, with the min/max midpoint as its value;
-    oscillation above ``fail_threshold`` on some cluster with at least
+    oscillation above ``FAIL_THRESHOLD`` on some cluster with at least
     ``MIN_FAIL_WITNESSES`` witnesses means it cannot extend; anything else
     is inconclusive, which is a result, not an error.
 
@@ -275,8 +273,6 @@ def check_extendability(
             return ExtensionReport(
                 verdict=Verdict.EXTENDS_BY_PROJECTION,
                 deltas=deltas,
-                pass_threshold=pass_threshold,
-                fail_threshold=fail_threshold,
                 tables={},
                 coordinate=j,
             )
@@ -323,27 +319,23 @@ def check_extendability(
         final_mid[cluster.cluster_id] = last.midpoint
         final_count[cluster.cluster_id] = last.count
 
-    if all(o < pass_threshold for o in final_osc.values()):
+    if all(o < PASS_THRESHOLD for o in final_osc.values()):
         return ExtensionReport(
             verdict=Verdict.EXTENDS_NUMERICALLY,
             deltas=deltas,
-            pass_threshold=pass_threshold,
-            fail_threshold=fail_threshold,
             tables=tables,
             values=final_mid,
         )
     failing = [
         cid
         for cid, o in final_osc.items()
-        if o > fail_threshold and final_count[cid] >= MIN_FAIL_WITNESSES
+        if o > FAIL_THRESHOLD and final_count[cid] >= MIN_FAIL_WITNESSES
     ]
     if failing:
         worst = max(failing, key=lambda cid: (final_osc[cid], -cid))
         return ExtensionReport(
             verdict=Verdict.FAILS_TO_EXTEND,
             deltas=deltas,
-            pass_threshold=pass_threshold,
-            fail_threshold=fail_threshold,
             tables=tables,
             failing_cluster=worst,
             oscillation=final_osc[worst],
@@ -352,8 +344,6 @@ def check_extendability(
     return ExtensionReport(
         verdict=Verdict.INCONCLUSIVE,
         deltas=deltas,
-        pass_threshold=pass_threshold,
-        fail_threshold=fail_threshold,
         tables=tables,
         oscillation=max(final_osc.values()),
     )

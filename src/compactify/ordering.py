@@ -25,6 +25,7 @@ __all__ = [
     "ComparisonWitness",
     "Incomparable",
     "EnlargeResult",
+    "DominationError",
     "compare",
     "apply_witness",
     "compose_mappings",
@@ -218,6 +219,10 @@ def compose_mappings(
     return tuple(out)
 
 
+class DominationError(RuntimeError):
+    """An enlarged model failed to sit above the model it enlarges."""
+
+
 @dataclass(frozen=True, eq=False)
 class EnlargeResult:
     """Outcome of adjoining a function to a model's family.
@@ -246,7 +251,7 @@ def enlarge(model: CompactificationModel, f: FunctionDescriptor) -> EnlargeResul
     new_model = build_compactification(FunctionFamily(descriptors), model.params)
     witness = compare(new_model, model)
     if isinstance(witness, Incomparable):
-        raise RuntimeError(
+        raise DominationError(
             f"enlarged model failed to dominate the original: {witness.reason}"
         )
     return EnlargeResult(

@@ -18,6 +18,7 @@ from compactify.acceptance import (
     TWO_COORD_FAMILY,
     _dense_tail,
     _oracle_cover,
+    run_criteria,
 )
 from compactify.cli import run
 from compactify.compactification import build_compactification
@@ -36,10 +37,9 @@ def _announce(capsys, cid: int, name: str, passed: bool, note: str = "") -> None
     "cid,name,fn", CRITERIA, ids=[f"{cid:02d}-{name}" for cid, name, _ in CRITERIA]
 )
 def test_criterion(ctx, capsys, cid, name, fn):
-    result = fn(ctx)
-    _announce(capsys, cid, name, result.passed)
-    assert result.cid == cid
-    assert result.passed, json.dumps(result.details, indent=2, default=str)
+    passed, details = fn(ctx)
+    _announce(capsys, cid, name, passed)
+    assert passed, json.dumps(details, indent=2, default=str)
 
 
 def test_criterion_11_cli_reports_are_reproducible(tmp_path, capsys):
@@ -70,3 +70,8 @@ def test_criterion_6_streamed_cover_equals_the_one_shot_value():
         one_shot = capped_distance(oracle[:, None, :], centers[None, :, :]).min(axis=1).max()
         assert _oracle_cover(model.embedding, params, centers) == float(one_shot)
     assert params.shape[0] % _ORACLE_BLOCK and params.shape[0] > 2 * _ORACLE_BLOCK
+
+
+def test_run_criteria_rejects_an_empty_selection(ctx):
+    with pytest.raises(ValueError, match="criteria must be distinct known ids"):
+        run_criteria(ctx, ())

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from compactify import cli, ordering
 from compactify.cli import run
 from compactify.compactification import load_model
 from compactify.functions import Cos, Tanh
+from compactify.ordering import Incomparable
 
 SMALL_FLAGS = [
     "--r-image", "5", "--r-tail-lo", "5", "--r-tail-hi", "200", "--grid-step", "0.05",
@@ -295,3 +297,64 @@ def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):
     argv = ["extend-check", "--model", small_model_file, "--function", fn]
     assert run([*argv, "--deltas", "0.2,nan,0.01"]) == 2
     assert "probe radii must be positive" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("ids", ["99", "1,1", "0,42"])
+def test_verify_rejects_unknown_and_repeated_criteria(ids, capsys):
+    assert run(["verify", "--criteria", ids]) == 2
+    err = _one_line_error(capsys)
+    assert "criteria must be distinct known ids" in err
+    assert capsys.readouterr().out == ""
+
+
+def test_build_rejects_an_over_large_grid(tmp_path, family_file, capsys):
+    out = tmp_path / "m.cptf"
+    assert run(["build", "--family", family_file, "--out", str(out), "--grid-step", "1e-9"]) == 2
+    assert "samples" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_enlarge_that_fails_to_dominate_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    # No natural input has been found whose enlargement fails to dominate,
+    # so the comparison is forced to come out incomparable.
+    fam = write_json(tmp_path / "tanh.json", [{"kind": "tanh", "a": 1.0, "b": 0.0}])
+    base = tmp_path / "base.cptf"
+    assert run(["build", "--family", fam, "--out", str(base), *SMALL_FLAGS]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(ordering, "compare", lambda larger, smaller: Incomparable("forced"))
+    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
+    out, report = tmp_path / "big.cptf", tmp_path / "report.json"
+    argv = ["enlarge", "--model", str(base), "--function", fn, "--out", str(out)]
+    assert run([*argv, "--json-report", str(report)]) == 4
+    assert "failed to dominate the original: forced" in _one_line_error(capsys)
+    assert not out.exists() and not report.exists()
+
+
+def test_a_plain_runtime_error_keeps_its_traceback(tmp_path, small_model_file, monkeypatch):
+    def broken(model):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "_cluster_summary", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        run(["remainder", "--model", small_model_file])
+
+
+def test_every_report_carries_command_seed_and_workers(tmp_path, small_model_file):
+    out = tmp_path / "r.json"
+    argv = ["compare", "--a", small_model_file, "--b", small_model_file]
+    assert run([*argv, "--seed", "11", "--json-report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"header", "config", "result"}
+    assert set(report["header"]) == {"timestamp", "elapsed_seconds"}
+    assert report["config"] == {
+        "command": "compare",
+        "larger": small_model_file,
+        "smaller": small_model_file,
+        "seed": 11,
+        "workers": 1,
+    }
+
+
+def test_reports_are_strict_json():
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._emit({"value": math.nan}, {}, 0.0, None)

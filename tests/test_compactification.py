@@ -7,8 +7,10 @@ import pytest
 
 from compactify.acceptance import chain_family
 from compactify.compactification import (
+    MAX_SAMPLES,
     BuildParams,
     EmbeddingMap,
+    _image_grid,
     _tail_grids,
     build_compactification,
     closure_membership,
@@ -348,3 +350,14 @@ def test_tanh_led_centers_hug_the_lead_endpoints(two_point_model, gamma_model):
         for cluster in model.remainder:
             c0 = cluster.center[0]
             assert min(abs(c0 - iv.lo), abs(c0 - iv.hi)) <= 0.02
+
+
+def test_build_params_bound_the_sample_count():
+    image, minus, plus = _image_grid(BuildParams()), *_tail_grids(BuildParams())
+    assert image.size + minus.size + plus.size == 490_003  # the default window
+    # On this window a build samples 2.2 / grid_step + 3 parameters.
+    window = dict(r_image=1.0, r_tail_lo=1.0, r_tail_hi=2.0)
+    BuildParams(grid_step=2.2 / (MAX_SAMPLES - 1000), **window)
+    for step in (2.2 / (MAX_SAMPLES + 1000), 1e-9, 5e-324):  # 5e-324: the quotient is inf
+        with pytest.raises(ValueError, match=f"more than {MAX_SAMPLES} samples"):
+            BuildParams(grid_step=step, **window)
