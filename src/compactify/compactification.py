@@ -11,12 +11,22 @@ from __future__ import annotations
 import base64
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import FunctionFamily
-from .product_space import ProductPoint, Space, capped_distance, distances_to_cloud
+from .product_space import (
+    BOX_ROWS,
+    BoxedCloud,
+    ProductPoint,
+    Space,
+    box_lower_bound,
+    capped_distance,
+    distances_to_cloud,
+    nearest_in_cloud,
+)
 
 __all__ = [
     "MODEL_MAGIC",
@@ -27,6 +37,7 @@ __all__ = [
     "CompactificationModel",
     "Membership",
     "build_compactification",
+    "image_boxes",
     "closure_membership",
     "remainder_separation",
     "greedy_cluster",
@@ -205,9 +216,9 @@ def _tail_grids(params: BuildParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 # greedy_cluster scans points in blocks of _BLOCK consecutive points and
-# splits each block into boxes of _BOX consecutive points for the seed prune.
+# splits each block into boxes of BOX_ROWS consecutive points for the seed
+# prune.
 _BLOCK = 1024
-_BOX = 32
 
 
 def _nearest_seeds(
@@ -215,27 +226,24 @@ def _nearest_seeds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest seed of every chunk row, and whether it lies within radius.
 
-    Seeds whose box lower bound exceeds ``radius`` are skipped; see
-    :func:`greedy_cluster` for why that is exact.
+    Seeds whose :func:`box_lower_bound` exceeds ``radius`` can be no
+    row's target and are skipped.
     """
     k, dim = chunk.shape
-    boxes = -(-k // _BOX)
+    boxes = -(-k // BOX_ROWS)
     # Pad the last box with copies of the last row; they leave its range
     # unchanged and their results are dropped.
-    pad = np.repeat(chunk[-1:], boxes * _BOX - k, axis=0)
-    cube = np.concatenate([chunk, pad]).reshape(boxes, _BOX, dim)
+    pad = np.repeat(chunk[-1:], boxes * BOX_ROWS - k, axis=0)
+    cube = np.concatenate([chunk, pad]).reshape(boxes, BOX_ROWS, dim)
     lo = cube.min(axis=1)[:, None, :]
     hi = cube.max(axis=1)[:, None, :]
-    # Distance from each seed to the nearest point of each box's bounding
-    # box: a lower bound on its distance to every row of that box.
-    bound = capped_distance(np.clip(seeds[None, :, :], lo, hi), seeds[None, :, :])
-    alive = bound <= radius  # (boxes, seeds)
+    alive = box_lower_bound(seeds[None, :, :], lo, hi) <= radius  # (boxes, seeds)
     width = max(1, int(alive.sum(axis=1).max()))
     # Surviving seeds first, in ascending seed index; the rest is padding.
     cand = np.argsort(~alive, axis=1, kind="stable")[:, :width]
     live = np.take_along_axis(alive, cand, axis=1)
     dists = capped_distance(cube[:, :, None, :], seeds[cand][:, None, :, :])
-    dists = np.where(live[:, None, :], dists, np.inf)  # (boxes, _BOX, width)
+    dists = np.where(live[:, None, :], dists, np.inf)  # (boxes, BOX_ROWS, width)
     pick = np.argmin(dists, axis=2)  # first minimum: the earliest seed
     nearest = np.take_along_axis(cand, pick, axis=1).ravel()[:k]
     within = (dists.min(axis=2) <= radius).ravel()[:k]
@@ -255,17 +263,12 @@ def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
     current seeds at once, and the block is cut at the first point that
     founds a new seed, which reproduces the sequential result exactly.
 
-    Within a block, seeds are pruned per box of consecutive points by an
-    exact lower bound.  Clipping a seed s into the box's coordinate range
-    gives the point of the range nearest to s, and the distance from s to
-    it is computed by the same kernel, coordinate by coordinate in the
-    same order.  For any point p of the box each computed |c_n - s_n| is
-    at most |p_n - s_n|, because float subtraction is monotone; so are
-    min{1, .}, the power-of-two weights and addition.  The bound therefore
-    never exceeds the computed distance from s to any point of the box,
-    and a seed whose bound exceeds ``radius`` can be no point's target.
-    Survivors keep ascending seed order, so argmin keeps the earliest-seed
+    Within a block, seeds are pruned per box of consecutive points by the
+    exact :func:`~compactify.product_space.box_lower_bound`.  Survivors
+    keep ascending seed order, so argmin keeps the earliest-seed
     tie-break, and the labels equal those of the dense search bit for bit.
+    The boxes are over the points, not the seeds: the seed set grows
+    after every founder, so boxes over it would be rebuilt every time.
     """
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
@@ -347,6 +350,20 @@ def build_compactification(
     )
 
 
+# Box ranges of each model's image cloud.  Models hash by identity
+# (eq=False) and are held weakly, so an entry dies with its model.
+_IMAGE_BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def image_boxes(model: CompactificationModel) -> BoxedCloud:
+    """The model's image cloud boxed for :func:`nearest_in_cloud`; computed
+    once per model, which is treated as immutable."""
+    boxed = _IMAGE_BOXES.get(model)
+    if boxed is None:
+        boxed = _IMAGE_BOXES[model] = BoxedCloud.of(model.image_points)
+    return boxed
+
+
 @dataclass(frozen=True)
 class Membership:
     """Where a probe point landed relative to a model."""
@@ -367,6 +384,9 @@ def closure_membership(
     the sampled image indistinguishable from its limit set, a point near a
     cluster center is reported as remainder even though some image sample
     is equally close.
+
+    The image cloud is searched through :func:`image_boxes`; the result
+    equals a scan of every image point.
     """
     if p.space != model.space:
         raise ValueError("probe point lives in a different product space")
@@ -383,13 +403,10 @@ def closure_membership(
         if nearest_center < eps:
             return Membership("remainder", nearest_center, cluster_id=best_c)
 
-    dists = distances_to_cloud(arr, model.image_points)
-    best = int(np.argmin(dists))
-    if dists[best] < eps:
-        return Membership(
-            "image", float(dists[best]), parameter=float(model.image_params[best])
-        )
-    return Membership("outside", float(min(dists[best], nearest_center)))
+    best, dist = nearest_in_cloud(arr, image_boxes(model))
+    if dist < eps:
+        return Membership("image", dist, parameter=float(model.image_params[best]))
+    return Membership("outside", min(dist, nearest_center))
 
 
 def remainder_separation(model: CompactificationModel) -> float:
@@ -401,13 +418,8 @@ def remainder_separation(model: CompactificationModel) -> float:
     narrow windows it measures how clearly the remainder stands off the
     sampled arc.
     """
-    centers = model.remainder_centers()
-    if not centers.shape[0]:
-        return float("inf")
-    best = np.inf
-    for row in centers:
-        best = min(best, float(distances_to_cloud(row, model.image_points).min()))
-    return best
+    boxed = image_boxes(model)
+    return min((nearest_in_cloud(c.center, boxed)[1] for c in model.remainder), default=np.inf)
 
 
 def _encode_array(arr: np.ndarray) -> dict:

@@ -9,12 +9,15 @@ round trip through JSON.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = [
+    "MAX_CHEB_DEGREE",
     "Interval",
     "FunctionDescriptor",
     "Tanh",
@@ -29,6 +32,12 @@ __all__ = [
     "chebyshev_recurrence",
     "descriptor_from_json",
 ]
+
+
+# Largest Chebyshev degree a descriptor may carry.  Evaluating T_n costs
+# O(n) per point: at this bound one pass over the 390 002 tail samples of
+# the default window takes about a second.
+MAX_CHEB_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -225,8 +234,16 @@ class Cheb(FunctionDescriptor):
     inner: FunctionDescriptor
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Real):
+            raise ValueError(f"Chebyshev degree must be an integer, got {n!r}")
+        if not isinstance(n, numbers.Integral) and not (math.isfinite(n) and n == math.floor(n)):
+            raise ValueError(f"Chebyshev degree must be a finite integer, got {n!r}")
+        if n < 1:
             raise ValueError("Chebyshev wrapper needs degree n >= 1")
+        if n > MAX_CHEB_DEGREE:
+            raise ValueError(f"Chebyshev degree {n!r} exceeds MAX_CHEB_DEGREE = {MAX_CHEB_DEGREE}")
+        object.__setattr__(self, "n", int(n))
 
     def _raw(self, arr):
         return chebyshev_recurrence(self.n, np.asarray(self.inner.evaluate(arr)))
@@ -382,7 +399,7 @@ def descriptor_from_json(obj: dict) -> FunctionDescriptor:
     if kind == "stereo_y":
         return StereoY()
     if kind == "cheb":
-        return Cheb(int(_field(obj, "n")), descriptor_from_json(_field(obj, "inner")))
+        return Cheb(_field(obj, "n"), descriptor_from_json(_field(obj, "inner")))
     if kind == "const":
         return Const(float(_field(obj, "c")))
     if kind == "affine":

@@ -7,6 +7,7 @@ limit itself is modeled by the union family, which dominates every level.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,10 +16,17 @@ import numpy as np
 from .compactification import (
     CompactificationModel,
     build_compactification,
+    image_boxes,
 )
 from .functions import FunctionFamily
 from .ordering import ComparisonWitness, Incomparable, apply_witness, compare
-from .product_space import ProductPoint, distances_to_cloud, product_distance
+from .product_space import (
+    BoxedCloud,
+    ProductPoint,
+    distances_to_cloud,
+    nearest_in_cloud,
+    product_distance,
+)
 
 __all__ = [
     "THREAD_TOL",
@@ -126,6 +134,29 @@ def _level_candidates(model: CompactificationModel) -> np.ndarray:
     return np.vstack([model.image_points, centers])
 
 
+# Per system, the bond images of each level's lift candidates, boxed for
+# nearest_in_cloud and filled one bond at a time.  Systems hash by identity
+# (eq=False) and are held weakly, so an entry dies with its system.
+_PUSHED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pushed_candidates(system: InverseSystem, i: int) -> BoxedCloud:
+    """Level i+1's image points, then its remainder centers, pushed down
+    through bond i; row k is the image of candidate k."""
+    pushed = _PUSHED.setdefault(system, {})
+    if i not in pushed:
+        candidates = _level_candidates(system.levels[i + 1])
+        pushed[i] = BoxedCloud.of(apply_witness(system.bonds[i], candidates))
+    return pushed[i]
+
+
+def _candidate(model: CompactificationModel, k: int) -> np.ndarray:
+    """Lift candidate k of a level: an image point, or past the image
+    points a remainder center."""
+    images = model.image_points.shape[0]
+    return model.image_points[k] if k < images else model.remainder[k - images].center
+
+
 def lift_point(
     system: InverseSystem, n: int, p: ProductPoint, tol: float | None = None
 ) -> Thread:
@@ -138,15 +169,25 @@ def lift_point(
     within ``tol`` (default: twice that level's cluster radius) raises
     :class:`LiftError` naming the level, which signals that the sampling
     there is too sparse.
+
+    The searches are exact and box-pruned.  Each bond's pushed candidates
+    (the bond images of the upper level's image points and centers) are
+    computed on the system's first lift through that bond and cached with
+    their box ranges, and each level's image cloud is boxed once per
+    model.  Systems and models are treated as immutable.
     """
     if not (0 <= n < system.depth):
         raise IndexError(f"no level {n}")
-    if p.space != system.levels[n].space:
+    model = system.levels[n]
+    if p.space != model.space:
         raise ValueError("point does not live at level n")
     base_tol = tol
     if base_tol is None:
-        base_tol = 2.0 * system.levels[n].params.cluster_radius
-    near = float(distances_to_cloud(p.as_array(), _level_candidates(system.levels[n])).min())
+        base_tol = 2.0 * model.params.cluster_radius
+    arr = p.as_array()
+    near = nearest_in_cloud(arr, image_boxes(model))[1]
+    if model.remainder:
+        near = min(near, float(distances_to_cloud(arr, model.remainder_centers()).min()))
     if near > base_tol:
         raise ValueError(
             f"point is {near:.3e} away from the level-{n} model, beyond {base_tol:.3e}"
@@ -158,18 +199,15 @@ def lift_point(
     for i in range(n, system.depth - 1):
         model_up = system.levels[i + 1]
         level_tol = tol if tol is not None else 2.0 * model_up.params.cluster_radius
-        candidates = _level_candidates(model_up)
-        pushed = apply_witness(system.bonds[i], candidates)
-        dists = distances_to_cloud(entries[i].as_array(), pushed)
-        best = int(np.argmin(dists))
-        if float(dists[best]) > level_tol:
+        best, dist = nearest_in_cloud(entries[i].as_array(), _pushed_candidates(system, i))
+        if dist > level_tol:
             raise LiftError(
                 f"no candidate at level {i + 1} lands within {level_tol:.3e} "
-                f"of the level-{i} entry (closest: {float(dists[best]):.3e}); "
+                f"of the level-{i} entry (closest: {dist:.3e}); "
                 "the sampling at that level is too sparse"
             )
         entries[i + 1] = ProductPoint(
-            tuple(float(v) for v in candidates[best]), model_up.space
+            tuple(float(v) for v in _candidate(model_up, best)), model_up.space
         )
     return Thread(tuple(entries[i] for i in range(system.depth)))
 

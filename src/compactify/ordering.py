@@ -153,7 +153,11 @@ def _witness_from_mapping(
     mapping: tuple[CoordinateMap, ...],
 ) -> ComparisonWitness | Incomparable:
     mapped = _apply_mapping_array(mapping, larger.image_points)
-    target = smaller.embedding.embed_array(larger.image_params)
+    if np.array_equal(smaller.image_params, larger.image_params):
+        # The smaller embedding on this grid is already stored.
+        target = smaller.image_points
+    else:
+        target = smaller.embedding.embed_array(larger.image_params)
     residual = float(rowwise_distance(mapped, target).max())
     if residual > RESIDUAL_TOL:
         return Incomparable(

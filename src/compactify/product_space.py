@@ -23,6 +23,10 @@ __all__ = [
     "product_distance",
     "distances_to_cloud",
     "rowwise_distance",
+    "BOX_ROWS",
+    "box_lower_bound",
+    "BoxedCloud",
+    "nearest_in_cloud",
     "tail_bound",
     "InclusionReport",
     "check_ball_cylinder_inclusions",
@@ -132,6 +136,77 @@ def rowwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = a[:, None]
         b = b[:, None]
     return capped_distance(a, b)
+
+
+# Box-pruned searches bound the distance to every box of this many
+# consecutive cloud rows at once.
+BOX_ROWS = 32
+
+
+def box_lower_bound(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lower bound on the computed distance from p to any row of a box.
+
+    ``lo`` and ``hi`` are the box's per-coordinate range; the arguments
+    broadcast like :func:`capped_distance`'s.  Clipping p into the range
+    gives the point c of the range nearest to p, and the distance from p
+    to c is computed by the same kernel, coordinate by coordinate in the
+    same order.  For any row x of the box each computed |c_n - p_n| is at
+    most |x_n - p_n|, because float subtraction is monotone; so are
+    min{1, .}, the power-of-two weights and addition.  The bound therefore
+    never exceeds the computed distance from p to any row of the box, and
+    a box whose bound exceeds a radius holds no row within it.
+    """
+    return capped_distance(np.clip(p, lo, hi), p)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxedCloud:
+    """A cloud with the coordinate range of each box of ``BOX_ROWS``
+    consecutive rows; ``lo[b]`` and ``hi[b]`` cover rows
+    ``b * BOX_ROWS`` up to the next box."""
+
+    cloud: np.ndarray  # (M, N)
+    lo: np.ndarray  # (boxes, N)
+    hi: np.ndarray  # (boxes, N)
+
+    @classmethod
+    def of(cls, cloud: np.ndarray) -> "BoxedCloud":
+        cloud = np.asarray(cloud, dtype=np.float64)
+        if cloud.ndim == 1:
+            cloud = cloud[:, None]
+        if cloud.shape[0] == 0:
+            raise ValueError("cannot search an empty cloud")
+        starts = np.arange(0, cloud.shape[0], BOX_ROWS)
+        return cls(
+            cloud=cloud,
+            lo=np.minimum.reduceat(cloud, starts, axis=0),
+            hi=np.maximum.reduceat(cloud, starts, axis=0),
+        )
+
+
+def nearest_in_cloud(p: np.ndarray, boxed: BoxedCloud) -> tuple[int, float]:
+    """Index of the cloud row nearest to p, ties to the earliest row, and
+    its distance: exactly ``argmin`` and ``min`` of
+    ``distances_to_cloud(p, boxed.cloud)``, without scanning every row.
+
+    The rows of the earliest box with the least :func:`box_lower_bound`
+    are scanned first; their nearest distance u bounds the answer.  A row
+    can only beat that row by being nearer, or as near and earlier, so
+    only the boxes whose bound is below u, or at most u up to that box,
+    can hold the answer.  Their rows are scanned in ascending order, so
+    argmin keeps the earliest-row tie-break.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    bound = box_lower_bound(p, boxed.lo, boxed.hi)
+    a = int(np.argmin(bound))
+    u = capped_distance(boxed.cloud[a * BOX_ROWS : (a + 1) * BOX_ROWS], p).min()
+    keep = bound < u
+    keep[: a + 1] |= bound[: a + 1] <= u
+    rows = (np.flatnonzero(keep)[:, None] * BOX_ROWS + np.arange(BOX_ROWS)).ravel()
+    rows = rows[rows < boxed.cloud.shape[0]]
+    dists = capped_distance(boxed.cloud[rows], p)
+    best = int(np.argmin(dists))
+    return int(rows[best]), float(dists[best])
 
 
 def tail_bound(n_coords: int) -> float:

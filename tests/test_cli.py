@@ -8,7 +8,7 @@ import pytest
 from compactify import cli, ordering
 from compactify.cli import run
 from compactify.compactification import load_model
-from compactify.functions import Cos, Tanh
+from compactify.functions import MAX_CHEB_DEGREE, Cos, Tanh
 from compactify.ordering import Incomparable
 
 SMALL_FLAGS = [
@@ -358,3 +358,41 @@ def test_every_report_carries_command_seed_and_workers(tmp_path, small_model_fil
 def test_reports_are_strict_json():
     with pytest.raises(ValueError, match="JSON compliant"):
         cli._emit({"value": math.nan}, {}, 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "degree, message",
+    [
+        (math.inf, "must be a finite integer, got inf"),  # written as Infinity
+        (2.7, "must be a finite integer, got 2.7"),
+        (MAX_CHEB_DEGREE + 1, f"exceeds MAX_CHEB_DEGREE = {MAX_CHEB_DEGREE}"),
+    ],
+)
+def test_bad_chebyshev_degrees_are_usage_errors(tmp_path, degree, message, capsys):
+    cheb = {"kind": "cheb", "n": degree, "inner": {"kind": "cos"}}
+    fam = write_json(tmp_path / "family.json", [{"kind": "tanh"}, cheb])
+    out = tmp_path / "m.cptf"
+    assert run(["build", "--family", fam, "--out", str(out), *SMALL_FLAGS]) == 2
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_verify_records_criteria_in_run_order(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--criteria", "3,1", "--json-report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["criteria"] == [1, 3]
+    assert [c["id"] for c in report["result"]["criteria"]] == [1, 3]
+
+
+@pytest.mark.parametrize("levels", [0, cli.MAX_CHAIN_LEVELS + 1, 10**6])
+def test_chain_demo_bounds_its_levels_before_building(tmp_path, monkeypatch, capsys, levels):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain-demo built a level")
+
+    monkeypatch.setattr(cli, "build_compactification", refuse)
+    out_dir = tmp_path / "chain"
+    assert run(["chain-demo", "--levels", str(levels), "--out-dir", str(out_dir)]) == 2
+    assert "--levels" in _one_line_error(capsys)
+    assert not list(tmp_path.glob("**/level_*.cptf"))
+    assert not out_dir.exists()

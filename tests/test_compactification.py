@@ -10,6 +10,7 @@ from compactify.compactification import (
     MAX_SAMPLES,
     BuildParams,
     EmbeddingMap,
+    Membership,
     _image_grid,
     _tail_grids,
     build_compactification,
@@ -21,7 +22,7 @@ from compactify.compactification import (
     write_remainder_csv,
 )
 from compactify.functions import Cos, FunctionFamily, StereoX, StereoY, Tanh
-from compactify.product_space import ProductPoint, capped_distance
+from compactify.product_space import ProductPoint, capped_distance, distances_to_cloud
 
 from conftest import SMALL
 
@@ -361,3 +362,44 @@ def test_build_params_bound_the_sample_count():
     for step in (2.2 / (MAX_SAMPLES + 1000), 1e-9, 5e-324):  # 5e-324: the quotient is inf
         with pytest.raises(ValueError, match=f"more than {MAX_SAMPLES} samples"):
             BuildParams(grid_step=step, **window)
+
+
+def _dense_closure_membership(model, p, eps):
+    # Membership before the image cloud was boxed: every image point scanned.
+    arr = p.as_array()
+    nearest_center = np.inf
+    centers = model.remainder_centers()
+    if centers.shape[0]:
+        cd = distances_to_cloud(arr, centers)
+        best_c = int(np.argmin(cd))
+        nearest_center = float(cd[best_c])
+        if nearest_center < eps:
+            return Membership("remainder", nearest_center, cluster_id=best_c)
+    dists = distances_to_cloud(arr, model.image_points)
+    best = int(np.argmin(dists))
+    if dists[best] < eps:
+        return Membership("image", float(dists[best]), parameter=float(model.image_params[best]))
+    return Membership("outside", float(min(dists[best], nearest_center)))
+
+
+# The image window reaches into the tanh saturation band (|x| > 19).
+WIDE = BuildParams(r_image=25.0, r_tail_lo=25.0, r_tail_hi=200.0, grid_step=0.05)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_membership_matches_the_dense_scan_on_built_and_loaded_levels(tmp_path, depth):
+    built = build_compactification(chain_family(depth), WIDE)
+    save_model(built, tmp_path / "m.cptf")
+    loaded = load_model(tmp_path / "m.cptf")
+    rng = np.random.default_rng(depth)
+    probes = [built.embed(float(x)) for x in rng.uniform(-30.0, 30.0, 30)]
+    probes += [c.center_point(built.space) for c in built.remainder]
+    probes += [ProductPoint(tuple(rng.uniform(-1.0, 1.0, depth)), built.space) for _ in range(30)]
+    kinds = set()
+    for model in (built, loaded):
+        for p in probes:
+            for eps in (1e-6, 0.02, 0.3):
+                got = closure_membership(model, p, eps)
+                assert got == _dense_closure_membership(model, p, eps)
+                kinds.add(got.kind)
+    assert kinds == {"image", "remainder", "outside"}

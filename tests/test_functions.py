@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from compactify.functions import (
+    MAX_CHEB_DEGREE,
     AffineImage,
     Cheb,
     Const,
@@ -285,3 +286,20 @@ def test_descriptors_reject_non_finite_parameters(make, bad):
 def test_descriptor_from_json_missing_field_is_a_value_error(obj):
     with pytest.raises(ValueError, match="descriptor needs"):
         descriptor_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "degree", [math.inf, -math.inf, math.nan, 2.7, MAX_CHEB_DEGREE + 1, 10**400, True, "3", None]
+)
+def test_cheb_rejects_bad_degrees(degree):
+    with pytest.raises(ValueError, match="Chebyshev degree"):
+        Cheb(degree, Cos())
+    with pytest.raises(ValueError, match="Chebyshev degree"):
+        descriptor_from_json({"kind": "cheb", "n": degree, "inner": {"kind": "cos"}})
+
+
+def test_cheb_accepts_integral_degrees_up_to_the_bound():
+    assert Cheb(MAX_CHEB_DEGREE, Cos()).n == MAX_CHEB_DEGREE
+    d = descriptor_from_json({"kind": "cheb", "n": 3.0, "inner": {"kind": "cos"}})
+    assert d == Cheb(3, Cos()) and type(d.n) is int
+    assert Cheb(np.int64(4), Cos()).to_json()["n"] == 4

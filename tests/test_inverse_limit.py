@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
-from compactify.compactification import BuildParams, build_compactification
+from compactify import compactification, inverse_limit
+from compactify.acceptance import chain_family
+from compactify.compactification import (
+    BuildParams,
+    build_compactification,
+    load_model,
+    save_model,
+)
 from compactify.functions import Cos, StereoX, StereoY, Tanh
 from compactify.inverse_limit import (
     InverseSystem,
@@ -16,8 +25,8 @@ from compactify.inverse_limit import (
     thread_residuals,
     verify_closedness_sample,
 )
-from compactify.ordering import CopyCoordinate, Incomparable, compare
-from compactify.product_space import ProductPoint
+from compactify.ordering import CopyCoordinate, Incomparable, apply_witness, compare
+from compactify.product_space import ProductPoint, distances_to_cloud
 
 from conftest import SMALL
 
@@ -208,3 +217,132 @@ def test_closedness_of_no_candidates_is_an_empty_report(two_level):
     assert report.members == ()
     assert report.residuals == ()
     assert report.all_members
+
+
+def _dense_candidates(model):
+    centers = model.remainder_centers()
+    if centers.shape[0] == 0:
+        return model.image_points
+    return np.vstack([model.image_points, centers])
+
+
+def _dense_lift_point(system, n, p, tol=None):
+    # The lift before box pruning and caching: every candidate of every
+    # upper level is pushed through its bond and scanned.
+    base_tol = tol if tol is not None else 2.0 * system.levels[n].params.cluster_radius
+    near = float(distances_to_cloud(p.as_array(), _dense_candidates(system.levels[n])).min())
+    if near > base_tol:
+        raise ValueError(
+            f"point is {near:.3e} away from the level-{n} model, beyond {base_tol:.3e}"
+        )
+    entries = {n: p}
+    for i in range(n, 0, -1):
+        entries[i - 1] = apply_bond(system, i - 1, entries[i])
+    for i in range(n, system.depth - 1):
+        model_up = system.levels[i + 1]
+        level_tol = tol if tol is not None else 2.0 * model_up.params.cluster_radius
+        candidates = _dense_candidates(model_up)
+        dists = distances_to_cloud(entries[i].as_array(), apply_witness(system.bonds[i], candidates))
+        best = int(np.argmin(dists))
+        if float(dists[best]) > level_tol:
+            raise LiftError(
+                f"no candidate at level {i + 1} lands within {level_tol:.3e} "
+                f"of the level-{i} entry (closest: {float(dists[best]):.3e}); "
+                "the sampling at that level is too sparse"
+            )
+        entries[i + 1] = ProductPoint(tuple(float(v) for v in candidates[best]), model_up.space)
+    return Thread(tuple(entries[i] for i in range(system.depth)))
+
+
+def _outcome(lift, system, n, p, tol=None):
+    try:
+        return lift(system, n, p, tol)
+    except (LiftError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# An image window reaching into the tanh saturation band (|x| > 19), with
+# grids coarse enough to build four levels in well under a second.
+WIDE = BuildParams(r_image=25.0, r_tail_lo=25.0, r_tail_hi=200.0, grid_step=0.05)
+
+
+@pytest.fixture(scope="module")
+def wide_chain(tmp_path_factory):
+    built = [build_compactification(chain_family(k), WIDE) for k in range(1, 5)]
+    tmp = tmp_path_factory.mktemp("chain")
+    for k, model in enumerate(built):
+        save_model(model, tmp / f"level_{k}.cptf")
+    loaded = [load_model(tmp / f"level_{k}.cptf") for k in range(len(built))]
+    return InverseSystem.from_levels(built), InverseSystem.from_levels(loaded)
+
+
+def _probes(model):
+    """Image points across the window, saturation band included, every
+    remainder center and a point off the model."""
+    rows = model.image_points[::37]
+    points = [ProductPoint(tuple(float(v) for v in r), model.space) for r in rows]
+    points += [c.center_point(model.space) for c in model.remainder]
+    points.append(ProductPoint((0.0,) + (-1.0,) * (model.dim - 1), model.space))
+    return points
+
+
+@pytest.mark.parametrize("which", ["built", "loaded"])
+def test_lift_matches_the_dense_lift_on_every_level(wide_chain, which):
+    system = wide_chain[which == "loaded"]
+    assert any(abs(x) > 19.0 and abs(t) == 1.0 for x, t in zip(
+        system.levels[0].image_params, system.levels[0].image_points[:, 0]))
+    lifts = 0
+    for n, model in enumerate(system.levels):
+        for p in _probes(model):
+            got = _outcome(lift_point, system, n, p)
+            assert got == _outcome(_dense_lift_point, system, n, p)
+            lifts += isinstance(got, Thread)
+    assert lifts > 100
+
+
+def test_lift_error_texts_are_unchanged_on_a_coarse_window():
+    fine = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=1e-3)
+    coarse = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=0.05)
+    system = InverseSystem.from_levels(
+        [
+            build_compactification((Tanh(),), fine),
+            build_compactification((Tanh(), Cos()), coarse),
+        ]
+    )
+    lower = system.levels[0]
+    kinds = set()
+    for idx in range(1, lower.image_points.shape[0], 250):
+        p0 = ProductPoint(tuple(lower.image_points[idx]), lower.space)
+        for tol in (1e-5, 1e-3, None):
+            got = _outcome(lift_point, system, 0, p0, tol)
+            assert got == _outcome(_dense_lift_point, system, 0, p0, tol)
+            kinds.add(got[0] if isinstance(got, tuple) else Thread)
+    off = ProductPoint((0.0, 0.0), system.levels[1].space)
+    got = _outcome(lift_point, system, 1, off)
+    assert got == _outcome(_dense_lift_point, system, 1, off)
+    kinds.add(got[0])
+    assert kinds == {LiftError, ValueError, Thread}
+    # a remainder center is a candidate itself, though no image point lies
+    # within this tolerance of it
+    for n, model in enumerate(system.levels):
+        for c in model.remainder:
+            p = c.center_point(model.space)
+            assert _outcome(lift_point, system, n, p, 1e-6) == _outcome(_dense_lift_point, system, n, p, 1e-6)
+            assert n == 0 or isinstance(lift_point(system, n, p, 1e-6), Thread)
+
+
+def test_cache_entries_die_with_their_system_and_models():
+    inverse_limit._PUSHED.clear()
+    compactification._IMAGE_BOXES.clear()
+    system = InverseSystem.from_levels(
+        [build_compactification(chain_family(k), SMALL) for k in (1, 2, 3)]
+    )
+    base = system.levels[0]
+    lift_point(system, 0, ProductPoint(tuple(base.image_points[40]), base.space))
+    assert len(inverse_limit._PUSHED) == 1
+    assert sorted(inverse_limit._PUSHED[system]) == [0, 1]
+    assert len(compactification._IMAGE_BOXES) == 1
+    del system, base
+    gc.collect()
+    assert len(inverse_limit._PUSHED) == 0
+    assert len(compactification._IMAGE_BOXES) == 0

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from compactify.compactification import build_compactification
+from compactify.compactification import (
+    BuildParams,
+    EmbeddingMap,
+    build_compactification,
+    load_model,
+    save_model,
+)
 from compactify.extension import Verdict
 from compactify.functions import Cheb, Cos, Tanh
 from compactify.ordering import (
@@ -18,8 +24,10 @@ from compactify.ordering import (
     compose_mappings,
     enlarge,
     equivalence_check,
+    _apply_mapping_array,
     _witness_from_mapping,
 )
+from compactify.product_space import rowwise_distance
 
 from conftest import SMALL
 
@@ -145,3 +153,72 @@ def test_enlarge_by_derivable_function_is_not_strict(small_gamma):
     assert res.old_report.verdict is not Verdict.FAILS_TO_EXTEND
     assert isinstance(res.witness, ComparisonWitness)
     assert len(res.model.family) == 3
+
+
+def _reembedded_residual(larger, smaller, mapping):
+    # The residual as computed before stored image points were reused:
+    # the smaller family evaluated afresh on the larger image grid.
+    mapped = _apply_mapping_array(mapping, larger.image_points)
+    return float(rowwise_distance(mapped, smaller.embedding.embed_array(larger.image_params)).max())
+
+
+COMPARED_FAMILIES = [
+    (Tanh(),),
+    (Tanh(), Cos()),
+    (Tanh(), Cos(2.0, 0.0)),
+    (Tanh(), Cos(), Cos(2.0, 0.0)),
+    (Tanh(), Cheb(3, Cos())),
+]
+
+
+@pytest.fixture(scope="module")
+def built_and_loaded(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("models")
+    built, loaded = [], []
+    for k, family in enumerate(COMPARED_FAMILIES):
+        model = build_compactification(family, SMALL)
+        save_model(model, tmp / f"{k}.cptf")
+        built.append(model)
+        loaded.append(load_model(tmp / f"{k}.cptf"))
+    return built, loaded
+
+
+def _outcome(w):
+    if isinstance(w, Incomparable):
+        return w.reason
+    return w.mapping, w.residual, w.onto_defect
+
+
+def test_compare_on_loaded_models_matches_built_models_and_reembedding(built_and_loaded):
+    built, loaded = built_and_loaded
+    comparable = 0
+    for i in range(len(built)):
+        for j in range(len(built)):
+            got = compare(loaded[i], loaded[j])
+            assert _outcome(got) == _outcome(compare(built[i], built[j]))
+            if isinstance(got, ComparisonWitness):
+                comparable += 1
+                assert got.residual == _reembedded_residual(loaded[i], loaded[j], got.mapping)
+    assert comparable >= 10
+
+
+def test_compare_on_one_grid_reuses_the_stored_points(built_and_loaded, monkeypatch):
+    built, _ = built_and_loaded
+    larger, smaller = built[1], built[2]
+    expected = _outcome(compare(larger, smaller))
+    assert expected[1] > 0.0  # a Chebyshev coordinate: a rounding-level residual
+
+    def refuse(self, xs):
+        raise AssertionError("the smaller family was evaluated again")
+
+    monkeypatch.setattr(EmbeddingMap, "embed_array", refuse)
+    assert _outcome(compare(larger, smaller)) == expected
+
+
+def test_compare_across_grids_embeds_the_smaller_family_on_the_larger_grid():
+    other = BuildParams(r_image=4.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=0.05)
+    larger = build_compactification((Tanh(), Cos(), Cos(2.0, 0.0)), SMALL)
+    smaller = build_compactification((Tanh(), Cos(2.0, 0.0)), other)
+    w = _witness_from_mapping(larger, smaller, (CopyCoordinate(0), ChebOfCoordinate(2, 1)))
+    assert isinstance(w, ComparisonWitness)
+    assert w.residual == _reembedded_residual(larger, smaller, w.mapping)

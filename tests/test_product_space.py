@@ -5,12 +5,16 @@ import pytest
 
 from compactify.functions import Interval
 from compactify.product_space import (
+    BOX_ROWS,
+    BoxedCloud,
     ProductPoint,
+    box_lower_bound,
     cap_metric,
     capped_distance,
     check_ball_cylinder_inclusions,
     coordinate_weights,
     distances_to_cloud,
+    nearest_in_cloud,
     product_distance,
     read_point_cloud_csv,
     rowwise_distance,
@@ -206,3 +210,76 @@ def test_point_cloud_csv_roundtrip_is_bitwise(tmp_path):
     write_point_cloud_csv(path, pts, header=["c0", "c1", "c2", "c3"])
     back = read_point_cloud_csv(path)
     assert np.array_equal(back, pts)
+
+
+def _dense_nearest(p, cloud):
+    # the scan the kernel replaces: every row, first minimum
+    dists = capped_distance(cloud, p)
+    best = int(np.argmin(dists))
+    return best, float(dists[best])
+
+
+def _assert_kernel_matches_dense(cloud, probes):
+    boxed = BoxedCloud.of(cloud)
+    for p in probes:
+        got = nearest_in_cloud(p, boxed)
+        want = _dense_nearest(p, cloud)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]), (p, got, want)
+
+
+def test_boxed_cloud_keeps_the_cloud_and_each_box_range():
+    cloud = np.random.default_rng(0).uniform(-1.0, 1.0, (100, 3))
+    boxed = BoxedCloud.of(cloud)
+    assert boxed.cloud is cloud
+    assert boxed.lo.shape == boxed.hi.shape == (4, 3)  # 100 rows: 3 full boxes and 4 rows
+    for b in range(4):
+        rows = cloud[b * BOX_ROWS : (b + 1) * BOX_ROWS]
+        assert np.array_equal(boxed.lo[b], rows.min(axis=0))
+        assert np.array_equal(boxed.hi[b], rows.max(axis=0))
+    with pytest.raises(ValueError):
+        BoxedCloud.of(np.empty((0, 3)))
+
+
+def test_box_lower_bound_never_exceeds_a_row_distance():
+    rng = np.random.default_rng(1)
+    cloud = rng.uniform(-1.0, 1.0, (BOX_ROWS, 4)) * rng.uniform(0.0, 3.0, 4)
+    lo, hi = cloud.min(axis=0), cloud.max(axis=0)
+    for p in rng.uniform(-3.0, 3.0, (500, 4)):
+        assert box_lower_bound(p, lo, hi) <= capped_distance(cloud, p).min()
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 1000, 4099])
+def test_nearest_in_cloud_matches_the_dense_scan_on_random_clouds(rows):
+    rng = np.random.default_rng(rows)
+    cloud = rng.uniform(-1.0, 1.0, (rows, 3))
+    # probes inside the cloud, on its rows, and far outside every box
+    probes = list(rng.uniform(-1.0, 1.0, (40, 3))) + list(cloud[:: max(1, rows // 7)])
+    probes += [np.array([5.0, -5.0, 5.0]), np.array([1.5, 0.0, -1.5])]
+    _assert_kernel_matches_dense(cloud, probes)
+
+
+def test_nearest_in_cloud_breaks_exact_ties_to_the_earliest_row():
+    # Dyadic coordinates make distances exact, so duplicated rows and
+    # rows at mirrored offsets tie bit for bit, within a box and across.
+    rng = np.random.default_rng(5)
+    base = rng.integers(-8, 9, (300, 2)) / 8.0
+    cloud = np.vstack([base, base[::-1], base])
+    probes = list(base[:50]) + list(rng.integers(-16, 17, (50, 2)) / 16.0)
+    _assert_kernel_matches_dense(cloud, probes)
+    # the earliest of the duplicates wins
+    boxed = BoxedCloud.of(cloud)
+    assert nearest_in_cloud(base[299], boxed)[0] == int(np.flatnonzero((base == base[299]).all(axis=1))[0])
+
+
+def test_nearest_in_cloud_matches_the_dense_scan_in_the_tanh_saturation_band():
+    # beyond |x| of about 19 tanh is exactly +-1, so whole runs of boxes
+    # hold rows tied in coordinate 0
+    xs = np.linspace(-60.0, 60.0, 20_001)
+    cloud = np.column_stack([np.tanh(xs), np.cos(xs), np.cos(2.0 * xs)])
+    assert (np.abs(cloud[np.abs(xs) > 19.5, 0]) == 1.0).all()
+    rng = np.random.default_rng(7)
+    probes = list(cloud[rng.integers(0, xs.shape[0], 40)])
+    probes += [np.array([1.0, c, 0.5]) for c in rng.uniform(-1.0, 1.0, 10)]
+    probes += [np.array([-1.0, 0.25, -1.0]), np.array([0.0, 3.0, 3.0])]
+    _assert_kernel_matches_dense(cloud, probes)
+    _assert_kernel_matches_dense(cloud[:, :1], [p[:1] for p in probes])
