@@ -48,6 +48,15 @@ EXIT_NUMERIC = 4
 # MB: about 62 MB for 12 levels.
 MAX_CHAIN_LEVELS = 12
 
+# Most values metric-check may draw per point set, --pairs times --dims.
+# It draws three such sets for the axioms, and the inclusion check takes
+# the differences of about --pairs point pairs: at the bound, about 100 MB.
+MAX_METRIC_VALUES = 2**20
+# Most coordinates metric-check may sample.  Coordinate n weighs 2^-n, so
+# past about 1074 every weight is 0.0 in float64; the inclusion check
+# also loops over coordinates in Python.
+MAX_METRIC_DIMS = 1024
+
 # Exit code of each error that ends a command with one stderr line.  A
 # plain RuntimeError is a bug and keeps its traceback.
 _ERROR_EXITS = {
@@ -194,6 +203,11 @@ def _cmd_remainder(args) -> tuple[int, dict, dict]:
 def _cmd_metric_check(args) -> tuple[int, dict, dict]:
     if args.dims < 1 or args.pairs < 1 or not 0.0 < args.r < math.inf:
         raise ValueError("metric-check needs --dims >= 1, --pairs >= 1 and a finite --r > 0")
+    if args.dims > MAX_METRIC_DIMS or args.pairs * args.dims > MAX_METRIC_VALUES:
+        raise ValueError(
+            f"metric-check needs --dims <= {MAX_METRIC_DIMS} and --pairs times --dims "
+            f"<= {MAX_METRIC_VALUES}, got {args.dims} and {args.pairs * args.dims}"
+        )
     n = args.pairs
     count = max(4, int(np.ceil((1 + np.sqrt(1 + 8 * n)) / 2)))
     details, report = metric_sample(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
+import struct
 import weakref
 from dataclasses import dataclass
 
@@ -46,7 +48,14 @@ __all__ = [
     "write_remainder_csv",
 ]
 
-MODEL_MAGIC = b"CPTF1\n"
+MODEL_MAGIC = b"CPTF2\n"
+# The first model format, a JSON body with base64 arrays; still read.
+_CPTF1_MAGIC = b"CPTF1\n"
+# CPTF2 header length, right after the magic: little-endian uint64.
+_HEADER_LEN = struct.Struct("<Q")
+# CPTF2 witness-label dtypes, smallest first; a file uses the smallest
+# that holds its cluster count.
+_LABEL_DTYPES = ("<u1", "<u2", "<u4")
 
 # Most parameters one build may sample, image grid and both tail grids
 # together: 68 times the 490 003 of the default window.  A finer grid is
@@ -87,8 +96,7 @@ class BuildParams:
             raise ValueError("grid_step must be positive")
         if self.cluster_radius <= 0:
             raise ValueError("cluster_radius must be positive")
-        image = _steps(2.0 * self.r_image, self.grid_step) + 1
-        tails = 2 * (_steps(self.r_tail_hi - self.r_tail_lo, self.tail_step) + 1)
+        image, tails = self.sample_counts()
         if image + tails > MAX_SAMPLES:
             raise ValueError(
                 f"grid_step {self.grid_step!r} asks for more than {MAX_SAMPLES} samples; "
@@ -98,6 +106,12 @@ class BuildParams:
     @property
     def tail_step(self) -> float:
         return 10.0 * self.grid_step
+
+    def sample_counts(self) -> tuple[int, int]:
+        """Parameters in the image grid and in both tail grids together."""
+        image = _steps(2.0 * self.r_image, self.grid_step) + 1
+        tails = 2 * (_steps(self.r_tail_hi - self.r_tail_lo, self.tail_step) + 1)
+        return image, tails
 
     def to_json(self) -> dict:
         return {
@@ -215,6 +229,17 @@ def _tail_grids(params: BuildParams) -> tuple[np.ndarray, np.ndarray]:
     return minus, plus
 
 
+def _tail_params(params: BuildParams) -> np.ndarray:
+    """Both tail grids in increasing order: the order the clustering sees."""
+    return np.concatenate(_tail_grids(params))
+
+
+def _members(labels: np.ndarray, k: int) -> list[np.ndarray]:
+    """Indices holding each label 0..k-1, in ascending order: one stable sort."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=k))[:-1])
+
+
 # greedy_cluster scans points in blocks of _BLOCK consecutive points and
 # splits each block into boxes of BOX_ROWS consecutive points for the seed
 # prune.
@@ -322,16 +347,12 @@ def build_compactification(
     image_params = _image_grid(params)
     image_points = emb.embed_array(image_params)
 
-    minus, plus = _tail_grids(params)
-    tail_params = np.concatenate([minus, plus])
+    tail_params = _tail_params(params)
     tail_points = emb.embed_array(tail_params)
 
     labels = greedy_cluster(tail_points, params.cluster_radius)
-    # One stable sort groups every cluster's members in presentation order.
-    order = np.argsort(labels, kind="stable")
-    splits = np.cumsum(np.bincount(labels))[:-1]
     clusters = []
-    for cid, members in enumerate(np.split(order, splits)):
+    for cid, members in enumerate(_members(labels, int(labels.max()) + 1)):
         witnesses = tail_params[members]
         clusters.append(
             RemainderCluster(
@@ -377,7 +398,8 @@ class Membership:
 def closure_membership(
     model: CompactificationModel, p: ProductPoint, eps: float
 ) -> Membership:
-    """Classify a point against the sampled closure at resolution eps.
+    """Classify a point against the sampled closure at resolution eps,
+    which must be positive and finite.
 
     Remainder clusters take precedence over the image cloud: where a
     saturating coordinate (tanh beyond roughly |x| = 19 in float64) makes
@@ -390,8 +412,8 @@ def closure_membership(
     """
     if p.space != model.space:
         raise ValueError("probe point lives in a different product space")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     arr = p.as_array()
 
     nearest_center = np.inf
@@ -422,57 +444,183 @@ def remainder_separation(model: CompactificationModel) -> float:
     return min((nearest_in_cloud(c.center, boxed)[1] for c in model.remainder), default=np.inf)
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "shape": list(data.shape),
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
+def _label_dtype(k: int) -> str:
+    """The smallest label dtype that holds the labels 0..k-1."""
+    return next(d for d in _LABEL_DTYPES if k <= np.iinfo(d).max + 1)
+
+
+def _witness_labels(model: CompactificationModel) -> np.ndarray:
+    """The cluster label of every tail parameter, in grid order.
+
+    Raises ValueError unless regrouping the labels as :func:`load_model`
+    does gives back each cluster's witnesses exactly: the witnesses must
+    tile the tail grid, and each cluster's must be in grid order.
+    """
+    k = len(model.remainder)
+    tail = _tail_params(model.params)
+    dtype = _label_dtype(k)
+    counts = [c.witness_count for c in model.remainder]
+    witnesses = np.concatenate([c.witnesses for c in model.remainder] or [np.empty(0)])
+    order = np.argsort(witnesses, kind="stable")
+    if 0 in counts or witnesses.shape != tail.shape or not np.array_equal(witnesses[order], tail):
+        raise ValueError("cannot save model: its witnesses do not tile the tail grid")
+    labels = np.repeat(np.arange(k, dtype=dtype), counts)[order]
+    for c, members in zip(model.remainder, _members(labels, k)):
+        if not np.array_equal(tail[members], c.witnesses):
+            raise ValueError(
+                f"cannot save model: the witnesses of cluster {c.cluster_id} are not in grid order"
+            )
+    return labels
+
+
+def save_model(model: CompactificationModel, path) -> None:
+    """Write a model file in the CPTF2 format.
+
+    After the magic line come the header length (little-endian uint64), a
+    JSON header (family, params, image shape, label dtype, and each
+    cluster's id, side and center), the image points as raw little-endian
+    float64, and one label per tail grid parameter.  Image parameters and
+    witnesses are not stored: they are the image grid, and each cluster's
+    tail parameters in grid order.  A model the format cannot reproduce
+    exactly raises ValueError, and nothing is written.
+    """
+    grid = _image_grid(model.params)
+    if not np.array_equal(model.image_params, grid):
+        raise ValueError("cannot save model: its image parameters are not the image grid")
+    shape = (grid.shape[0], model.dim)
+    if model.image_points.shape != shape:
+        raise ValueError(
+            f"cannot save model: image points of shape {model.image_points.shape}, expected {shape}"
+        )
+    if [c.cluster_id for c in model.remainder] != list(range(len(model.remainder))):
+        raise ValueError("cannot save model: cluster ids must run 0..k-1 in order")
+    labels = _witness_labels(model)
+    for c in model.remainder:
+        if c.side != _cluster_side(c.witnesses):
+            raise ValueError(f"cannot save model: cluster {c.cluster_id} has side {c.side!r}")
+    header = json.dumps(
+        {
+            "family": model.family.to_json(),
+            "params": model.params.to_json(),
+            "image_shape": list(shape),
+            "label_dtype": _label_dtype(len(model.remainder)),
+            "clusters": [
+                {"cluster_id": c.cluster_id, "side": c.side, "center": [float(v) for v in c.center]}
+                for c in model.remainder
+            ],
+        },
+        sort_keys=True,
+        allow_nan=False,
+    ).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MODEL_MAGIC)
+        fh.write(_HEADER_LEN.pack(len(header)))
+        fh.write(header)
+        fh.write(np.ascontiguousarray(model.image_points, dtype="<f8"))
+        fh.write(labels)
+
+
+def load_model(path) -> CompactificationModel:
+    """Read a model file written by :func:`save_model`, or an older CPTF1 one.
+
+    A file that is not a model, or is truncated, over-long or inconsistent
+    with its own header, raises one ValueError naming the file.  Every size
+    follows from the header's params, which ``MAX_SAMPLES`` bounds, and is
+    checked against the file size before anything is allocated.
+    """
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MODEL_MAGIC))
+        if magic not in (MODEL_MAGIC, _CPTF1_MAGIC):
+            raise ValueError(f"{path}: not a model file (bad magic)")
+        try:
+            if magic == _CPTF1_MAGIC:
+                return _model_from_json(json.loads(fh.read().decode("utf-8")))
+            return _read_cptf2(fh)
+        except KeyError as exc:
+            raise ValueError(f"{path}: malformed model file: missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed model file: {exc}") from exc
+
+
+def _read_into(fh, arr: np.ndarray, what: str) -> None:
+    got = fh.readinto(arr)
+    if got != arr.nbytes:
+        raise ValueError(f"{what} truncated: {got} of {arr.nbytes} bytes")
+
+
+def _read_cptf2(fh) -> CompactificationModel:
+    """The model in a CPTF2 file positioned just after its magic."""
+    size = os.fstat(fh.fileno()).st_size
+    raw = fh.read(_HEADER_LEN.size)
+    if len(raw) != _HEADER_LEN.size:
+        raise ValueError("truncated header length")
+    (header_len,) = _HEADER_LEN.unpack(raw)
+    rest = size - len(MODEL_MAGIC) - _HEADER_LEN.size
+    if header_len > rest:
+        raise ValueError(f"header length {header_len} exceeds the {rest} bytes that follow it")
+    header = json.loads(fh.read(header_len).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise TypeError(f"header must be an object, not {type(header).__name__}")
+    family = FunctionFamily.from_json(header["family"])
+    params = BuildParams.from_json(header["params"])
+    rows, tails = params.sample_counts()
+    shape = [rows, len(family)]
+    if header["image_shape"] != shape:
+        raise ValueError(f"image shape {header['image_shape']!r} does not match the grid, {shape}")
+    dtype = header["label_dtype"]
+    if dtype not in _LABEL_DTYPES:
+        raise ValueError(f"unknown label dtype {dtype!r}")
+    clusters = header["clusters"]
+    if not isinstance(clusters, list):
+        raise TypeError(f"clusters must be a list, not {type(clusters).__name__}")
+    k = len(clusters)
+    if [c["cluster_id"] for c in clusters] != list(range(k)):
+        raise ValueError("cluster ids must run 0..k-1 in order")
+
+    # Sizes are checked against the file before anything is allocated.
+    image_bytes = rows * len(family) * 8
+    label_bytes = rest - header_len - image_bytes
+    if label_bytes < 0:
+        raise ValueError(f"image section truncated: {rest - header_len} of {image_bytes} bytes")
+    itemsize = np.dtype(dtype).itemsize
+    if label_bytes != tails * itemsize:
+        raise ValueError(
+            f"label section holds {label_bytes} bytes, not {tails} labels of {itemsize} bytes"
+        )
+    image_params = _image_grid(params)
+    tail = _tail_params(params)
+    image_points = np.empty(shape, dtype="<f8")
+    labels = np.empty(tails, dtype=dtype)
+    _read_into(fh, image_points, "image section")
+    _read_into(fh, labels, "label section")
+
+    if int(labels.max()) >= k:
+        raise ValueError(f"label {int(labels.max())} is not below the cluster count {k}")
+    groups = _members(labels, k)
+    for cid, members in enumerate(groups):
+        if members.size == 0:
+            raise ValueError(f"cluster {cid} has no witnesses")
+    remainder = []
+    for cid, (c, members) in enumerate(zip(clusters, groups)):
+        witnesses = tail[members]
+        if c["side"] != _cluster_side(witnesses):
+            raise ValueError(f"cluster {cid} side {c['side']!r} disagrees with its witnesses")
+        center = np.asarray(c["center"], dtype=np.float64)
+        if center.shape != (len(family),):
+            raise ValueError(f"cluster {cid} center has {center.size} coordinates, not {len(family)}")
+        remainder.append(RemainderCluster(cid, center, c["side"], witnesses))
+    return CompactificationModel(
+        embedding=EmbeddingMap(family),
+        params=params,
+        image_params=image_params,
+        image_points=image_points,
+        remainder=tuple(remainder),
+    )
 
 
 def _decode_array(obj: dict) -> np.ndarray:
     raw = base64.b64decode(obj["data"])
     return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
-
-
-def save_model(model: CompactificationModel, path) -> None:
-    """Write a model file: magic line, then a JSON body with base64 arrays."""
-    body = {
-        "family": model.family.to_json(),
-        "params": model.params.to_json(),
-        "image_params": _encode_array(model.image_params),
-        "image_points": _encode_array(model.image_points),
-        "remainder": [
-            {
-                "cluster_id": c.cluster_id,
-                "side": c.side,
-                "center": [float(v) for v in c.center],
-                "witnesses": _encode_array(c.witnesses),
-            }
-            for c in model.remainder
-        ],
-    }
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(json.dumps(body, sort_keys=True).encode("utf-8"))
-
-
-def load_model(path) -> CompactificationModel:
-    """Read a model file written by :func:`save_model`.
-
-    A file that is not a model, or whose body lacks a field or holds one
-    of the wrong type, raises one ValueError naming the file.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MODEL_MAGIC):
-        raise ValueError(f"{path}: not a model file (bad magic)")
-    try:
-        return _model_from_json(json.loads(blob[len(MODEL_MAGIC):].decode("utf-8")))
-    except KeyError as exc:
-        raise ValueError(f"{path}: malformed model file: missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed model file: {exc}") from exc
 
 
 def _model_from_json(body: dict) -> CompactificationModel:

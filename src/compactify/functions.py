@@ -101,12 +101,15 @@ class FunctionDescriptor:
         """
         arr = np.asarray(x, dtype=np.float64)
         iv = self.range_interval()
-        out = np.clip(self._raw(arr), iv.lo, iv.hi)
+        raw = self._raw(arr)
+        # _raw returns a new array, so an array result is clipped in place.
+        out = np.clip(raw, iv.lo, iv.hi, out=raw if np.ndim(raw) else None)
         if arr.ndim == 0 and not isinstance(x, np.ndarray):
             return float(out)
         return out
 
     def _raw(self, arr: np.ndarray) -> np.ndarray:
+        """The unclipped values at ``arr``, in a new array or a scalar."""
         raise NotImplementedError
 
     def range_interval(self) -> Interval:
@@ -128,7 +131,10 @@ class Tanh(FunctionDescriptor):
         self._require_finite("a", "b")
 
     def _raw(self, arr):
-        return np.tanh(self.a * arr + self.b)
+        # a x + b, then tanh, in one new array.
+        phase = np.multiply(self.a, arr, out=np.empty_like(arr))
+        phase += self.b
+        return np.tanh(phase, out=phase)
 
     def range_interval(self) -> Interval:
         if self.a == 0.0:
@@ -151,14 +157,16 @@ class Cos(FunctionDescriptor):
         self._require_finite("a", "b")
 
     def _raw(self, arr):
-        phase = self.a * arr + self.b
+        # Every step after a x works in place on one new array.
+        phase = np.multiply(self.a, arr, out=np.empty_like(arr))
+        phase += self.b
         # cos(|p|) = cos(p); taking |p| first makes the evenness of cos hold
         # bitwise, so Cos(-n, 0) and Cos(n, 0) agree exactly.
-        phase = np.abs(phase)
+        np.abs(phase, out=phase)
         # A finite x with |a x + b| overflowing float64 has no representable
         # phase; collapse to cos(0) to keep the value finite.
-        safe = np.where(np.isfinite(phase), phase, 0.0)
-        return np.cos(safe)
+        np.copyto(phase, 0.0, where=~np.isfinite(phase))
+        return np.cos(phase, out=phase)
 
     def range_interval(self) -> Interval:
         if self.a == 0.0:
@@ -243,12 +251,20 @@ class Cheb(FunctionDescriptor):
             raise ValueError("Chebyshev wrapper needs degree n >= 1")
         if n > MAX_CHEB_DEGREE:
             raise ValueError(f"Chebyshev degree {n!r} exceeds MAX_CHEB_DEGREE = {MAX_CHEB_DEGREE}")
+        if not isinstance(self.inner, FunctionDescriptor):
+            raise TypeError(f"not a function descriptor: {self.inner!r}")
         object.__setattr__(self, "n", int(n))
+        # An O(n) loop, and every evaluate clips to it: computed once, as
+        # descriptors are immutable.
+        object.__setattr__(self, "_range", self._range_from_inner())
 
     def _raw(self, arr):
         return chebyshev_recurrence(self.n, np.asarray(self.inner.evaluate(arr)))
 
     def range_interval(self) -> Interval:
+        return self._range
+
+    def _range_from_inner(self) -> Interval:
         inner_iv = self.inner.range_interval()
         lo, hi = inner_iv.lo, inner_iv.hi
         candidates = [

@@ -7,6 +7,7 @@ limit itself is modeled by the union family, which dominates every level.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Sequence
@@ -168,7 +169,8 @@ def lift_point(
     to the lowest candidate index.  A level where no candidate lands
     within ``tol`` (default: twice that level's cluster radius) raises
     :class:`LiftError` naming the level, which signals that the sampling
-    there is too sparse.
+    there is too sparse.  A ``tol`` that is not positive and finite raises
+    ValueError.
 
     The searches are exact and box-pruned.  Each bond's pushed candidates
     (the bond images of the upper level's image points and centers) are
@@ -181,6 +183,8 @@ def lift_point(
     model = system.levels[n]
     if p.space != model.space:
         raise ValueError("point does not live at level n")
+    if tol is not None and not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     base_tol = tol
     if base_tol is None:
         base_tol = 2.0 * model.params.cluster_radius

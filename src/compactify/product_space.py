@@ -7,6 +7,7 @@ product topology on every finite truncation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -275,7 +276,7 @@ def check_ball_cylinder_inclusions(
     k = _truncation_depth(r)
     coord_viol: list[tuple[int, int, int]] = []
     for n in range(dim):
-        bad = np.flatnonzero((dist < r / 2.0**n) & ~(capped[:, n] < r))
+        bad = np.flatnonzero((dist < math.ldexp(r, -n)) & ~(capped[:, n] < r))
         coord_viol.extend((int(ii[b]), int(jj[b]), n) for b in bad)
 
     head = capped[:, : min(k, dim - 1) + 1]

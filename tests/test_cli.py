@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import pytest
 
@@ -10,6 +11,8 @@ from compactify.cli import run
 from compactify.compactification import load_model
 from compactify.functions import MAX_CHEB_DEGREE, Cos, Tanh
 from compactify.ordering import Incomparable
+
+from model_files import cptf1_body, split_cptf2, write_cptf1, write_cptf1_body
 
 SMALL_FLAGS = [
     "--r-image", "5", "--r-tail-lo", "5", "--r-tail-hi", "200", "--grid-step", "0.05",
@@ -231,6 +234,29 @@ def test_metric_check_rejects_degenerate_samples(flags, capsys):
     _one_line_error(capsys)
 
 
+def _refuse_to_sample(*args, **kwargs):
+    raise ValueError("sampling reached")
+
+
+@pytest.mark.parametrize(
+    "pairs,dims,allowed",
+    [
+        (cli.MAX_METRIC_VALUES, 1, True),
+        (cli.MAX_METRIC_VALUES + 1, 1, False),
+        (1024, cli.MAX_METRIC_DIMS, True),
+        (1, cli.MAX_METRIC_DIMS + 1, False),
+        (10**12, 10**6, False),
+    ],
+)
+def test_metric_check_sizes_are_bounded_before_sampling(pairs, dims, allowed, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "metric_sample", _refuse_to_sample)
+    monkeypatch.setattr(cli.np.random, "default_rng", _refuse_to_sample)
+    assert run(["metric-check", "--pairs", str(pairs), "--dims", str(dims)]) == 2
+    err = _one_line_error(capsys)
+    assert ("sampling reached" in err) == allowed
+    assert ("metric-check needs --dims <=" in err) != allowed
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_build_rejects_non_finite_params(tmp_path, family_file, value, capsys):
     out = tmp_path / "m.cptf"
@@ -276,12 +302,10 @@ def _cluster_without_witnesses(body):
     ],
 )
 def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, damage, message, capsys):
-    blob = open(small_model_file, "rb").read()
-    magic, body = blob.split(b"\n", 1)
-    body = json.loads(body)
+    body = cptf1_body(load_model(small_model_file))
     damage(body)
     bad = tmp_path / "bad.cptf"
-    bad.write_bytes(magic + b"\n" + json.dumps(body).encode())
+    write_cptf1_body(body, bad)
     capsys.readouterr()
     fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
     assert run(["extend-check", "--model", str(bad), "--function", fn]) == 2
@@ -289,6 +313,107 @@ def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, damag
     assert str(bad) in err and message in err
     assert run(["remainder", "--model", str(bad)]) == 2
     assert message in _one_line_error(capsys)
+
+
+def _cptf2(header: dict, image: bytes, labels: bytes, header_len: int | None = None) -> bytes:
+    text = json.dumps(header).encode()
+    length = len(text) if header_len is None else header_len
+    return b"CPTF2\n" + struct.pack("<Q", length) + text + image + labels
+
+
+def _set_label(labels: bytes, i: int, value: int) -> bytes:
+    return labels[:i] + bytes([value]) + labels[i + 1 :]
+
+
+def _empty_last_cluster(h, image, labels):
+    last = len(h["clusters"]) - 1
+    # Its witnesses go to the earlier cluster of the same side.
+    side = h["clusters"][last]["side"]
+    other = next(c["cluster_id"] for c in h["clusters"] if c["side"] == side)
+    return _cptf2(h, image, labels.replace(bytes([last]), bytes([other])))
+
+
+def _swap_first_ids(h, image, labels):
+    h["clusters"][0]["cluster_id"], h["clusters"][1]["cluster_id"] = 1, 0
+    return _cptf2(h, image, labels)
+
+
+def _flip_first_side(h, image, labels):
+    h["clusters"][0]["side"] = "both" if h["clusters"][0]["side"] != "both" else "+inf"
+    return _cptf2(h, image, labels)
+
+
+def _drop_a_center_coordinate(h, image, labels):
+    h["clusters"][-1]["center"].pop()
+    return _cptf2(h, image, labels)
+
+
+def _with(key, value):
+    return lambda h, image, labels: _cptf2({**h, key: value}, image, labels)
+
+
+BAD_CPTF2 = {
+    "truncated header length": (lambda h, image, labels: b"CPTF2\n\x10\x00", "truncated header length"),
+    "oversized header length": (
+        lambda h, image, labels: _cptf2(h, image, labels, header_len=2**40),
+        "header length 1099511627776 exceeds",
+    ),
+    "short header length": (
+        lambda h, image, labels: _cptf2(h, image, labels, header_len=len(json.dumps(h)) - 3),
+        "malformed model file",
+    ),
+    "image shape off the grid": (
+        lambda h, image, labels: _cptf2({**h, "image_shape": [h["image_shape"][0], 3]}, image, labels),
+        "does not match the grid",
+    ),
+    "truncated image section": (
+        lambda h, image, labels: _cptf2(h, image[:1000], b""),
+        "image section truncated",
+    ),
+    "truncated label section": (
+        lambda h, image, labels: _cptf2(h, image, labels[:-1]),
+        "label section holds",
+    ),
+    "over-long raw section": (
+        lambda h, image, labels: _cptf2(h, image, labels + b"\x00"),
+        "label section holds",
+    ),
+    "wrong label count": (_with("label_dtype", "<u2"), "label section holds"),
+    "unknown label dtype": (_with("label_dtype", "<f8"), "unknown label dtype '<f8'"),
+    "label at the cluster count": (
+        lambda h, image, labels: _cptf2(h, image, _set_label(labels, 7, len(h["clusters"]))),
+        "is not below the cluster count",
+    ),
+    "empty cluster": (_empty_last_cluster, "has no witnesses"),
+    "cluster ids out of order": (_swap_first_ids, "cluster ids must run 0..k-1"),
+    "side that disagrees": (_flip_first_side, "disagrees with its witnesses"),
+    "center short of a coordinate": (_drop_a_center_coordinate, "center has 1 coordinates, not 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CPTF2))
+def test_malformed_cptf2_file_is_a_usage_error(tmp_path, small_model_file, case, capsys):
+    damage, message = BAD_CPTF2[case]
+    header, image, labels = split_cptf2(open(small_model_file, "rb").read())
+    assert header["label_dtype"] == "<u1" and len(header["clusters"]) > 2
+    bad = tmp_path / "bad.cptf"
+    bad.write_bytes(damage(header, image, labels))
+    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
+    capsys.readouterr()
+    for argv in (["extend-check", "--model", str(bad), "--function", fn], ["remainder", "--model", str(bad)]):
+        assert run(argv) == 2
+        err = _one_line_error(capsys)
+        assert f"error: {bad}: " in err and message in err
+
+
+def test_cptf1_model_files_still_load(tmp_path, small_model_file, capsys):
+    old = tmp_path / "old.cptf"
+    write_cptf1(load_model(small_model_file), old)
+    capsys.readouterr()
+    assert run(["remainder", "--model", small_model_file]) == 0
+    new = json.loads(capsys.readouterr().out)
+    assert run(["remainder", "--model", str(old)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == new["result"]
 
 
 def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):

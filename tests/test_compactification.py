@@ -297,6 +297,13 @@ def test_remainder_separation_collapses_under_saturation(two_point_model):
     assert remainder_separation(two_point_model) == 0.0
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.05])
+def test_membership_rejects_an_eps_that_is_not_positive_and_finite(small_gamma, eps):
+    # A NaN eps used to report an exact image point as "outside" at distance 0.
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        closure_membership(small_gamma, small_gamma.embed(1.0), eps)
+
+
 def test_model_file_roundtrip_is_bitwise(tmp_path, small_gamma):
     path = tmp_path / "model.cptf"
     save_model(small_gamma, path)

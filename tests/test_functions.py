@@ -303,3 +303,86 @@ def test_cheb_accepts_integral_degrees_up_to_the_bound():
     d = descriptor_from_json({"kind": "cheb", "n": 3.0, "inner": {"kind": "cos"}})
     assert d == Cheb(3, Cos()) and type(d.n) is int
     assert Cheb(np.int64(4), Cos()).to_json()["n"] == 4
+
+
+def _unfused_cos(d, x):
+    phase = np.abs(d.a * x + d.b)
+    return np.cos(np.where(np.isfinite(phase), phase, 0.0))
+
+
+def _unfused_tanh(d, x):
+    return np.tanh(d.a * x + d.b)
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e17, -1e17, 1e308, -1e308, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize(
+    "desc,reference",
+    [(d, _unfused_cos) for d in (Cos(), Cos(-3.0, 0.7), Cos(math.sqrt(2.0), 0.3), Cos(1e300, 0.0), Cos(0.0, 0.4))]
+    + [(d, _unfused_tanh) for d in (Tanh(), Tanh(0.5, -2.0), Tanh(1e300, 1.0), Tanh(0.0, 0.4))],
+)
+def test_in_place_evaluation_is_bitwise_the_unfused_formula(desc, reference):
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-2000.0, 2000.0, 200_000), SPECIAL])
+    iv = desc.range_interval()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.clip(reference(desc, x), iv.lo, iv.hi)
+        assert np.array_equal(desc.evaluate(x), want, equal_nan=True)
+        # Short arrays take the vector loops' remainder paths.
+        for n in range(1, 70):
+            assert np.array_equal(desc.evaluate(x[-n:]), want[-n:], equal_nan=True)
+        assert np.array_equal(desc.evaluate(x[::7]), want[::7], equal_nan=True)
+        for v in SPECIAL:
+            got = desc.evaluate(float(v))
+            assert type(got) is float
+            assert np.array_equal(got, np.clip(reference(desc, np.float64(v)), iv.lo, iv.hi), equal_nan=True)
+
+
+def test_evaluate_leaves_its_input_alone():
+    x = np.linspace(-3.0, 3.0, 101)
+    before = x.copy()
+    for desc in ALL_KINDS:
+        desc.evaluate(x)
+        assert np.array_equal(x, before)
+
+
+def _range_by_loop(n: int, inner) -> Interval:
+    """Cheb.range_interval as it was computed on every evaluate call."""
+    inner_iv = inner.range_interval()
+    lo, hi = inner_iv.lo, inner_iv.hi
+    candidates = [float(chebyshev_recurrence(n, lo)), float(chebyshev_recurrence(n, hi))]
+    for k in range(1, n):
+        crit = float(np.cos(k * np.pi / n))
+        if lo <= crit <= hi:
+            candidates.append(1.0 if k % 2 == 0 else -1.0)
+    return Interval(min(candidates), max(candidates))
+
+
+CHEB_INNERS = [
+    Cos(),
+    Cos(0.0, 0.3),
+    Tanh(),
+    Tanh(0.0, -0.5),
+    AffineImage(Cos(), 0.3, 0.1),
+    AffineImage(Tanh(2.0, 1.0), -0.5, 0.25),
+    AffineImage(Cos(), 0.0, 0.7),
+]
+
+
+@pytest.mark.parametrize("inner", CHEB_INNERS)
+def test_cheb_range_is_computed_once_and_equals_the_loop(inner, monkeypatch):
+    for n in range(1, 51):
+        desc = Cheb(n, inner)
+        want = _range_by_loop(n, inner)
+        got = desc.range_interval()
+        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
+    # Evaluating reads the stored interval.
+    monkeypatch.setattr(Cheb, "_range_from_inner", lambda self: pytest.fail("range recomputed"))
+    desc.evaluate(np.linspace(-5.0, 5.0, 11))
+    assert desc.range_interval() is desc.range_interval()
+
+
+def test_cheb_rejects_a_non_descriptor_inner():
+    with pytest.raises(TypeError, match="not a function descriptor"):
+        Cheb(2, "cos")

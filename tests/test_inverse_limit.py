@@ -144,6 +144,16 @@ def test_lift_rejects_points_far_from_the_model(two_level):
         lift_point(two_level, 1, off)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_lift_rejects_a_tolerance_that_is_not_positive_and_finite(two_level, tol):
+    # A NaN tolerance used to pass every comparison and thread a far point.
+    off = ProductPoint((0.0, 0.0), two_level.levels[1].space)
+    on = two_level.levels[1].embed(0.5)
+    for p in (off, on):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            lift_point(two_level, 1, p, tol=tol)
+
+
 def test_chain_limit_unions_the_families(two_level):
     lim = chain_limit(two_level)
     assert tuple(lim.family) == tuple(two_level.levels[1].family)

@@ -193,6 +193,15 @@ def test_inclusion_checks_engage_the_cylinder_hypothesis():
     assert report.ok
 
 
+def test_inclusion_checks_run_past_a_thousand_coordinates():
+    # 2.0**n overflows at n = 1024; the threshold r 2^-n must not.
+    dim = 1100
+    space = cube(dim)
+    rng = np.random.default_rng(4)
+    samples = [ProductPoint(tuple(rng.uniform(-1.0, 1.0, dim)), space) for _ in range(4)]
+    assert check_ball_cylinder_inclusions(space, samples, r=0.3).ok
+
+
 def test_inclusion_checker_rejects_bad_input():
     space = cube(2)
     pt = ProductPoint((0.0, 0.0), space)
