@@ -33,7 +33,7 @@ from .compactification import (
     write_remainder_csv,
 )
 from .extension import DEFAULT_DELTAS, InsufficientWitnessesError, Verdict, check_extendability
-from .functions import FunctionFamily, descriptor_from_json
+from .functions import FunctionFamily, decode_json, descriptor_from_json
 from .inverse_limit import InverseSystem, chain_limit
 from .ordering import ComparisonWitness, DominationError, compare, enlarge
 from .product_space import write_point_cloud_csv
@@ -100,7 +100,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 def _load_descriptor(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return descriptor_from_json(json.load(fh))
+        return descriptor_from_json(decode_json(fh.read()))
 
 
 def _cluster_summary(model) -> list[dict]:

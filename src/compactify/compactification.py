@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionFamily
+from .functions import FunctionFamily, decode_json
 from .product_space import (
     BOX_ROWS,
     BoxedCloud,
@@ -240,39 +240,11 @@ def _members(labels: np.ndarray, k: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=k))[:-1])
 
 
-# greedy_cluster scans points in blocks of _BLOCK consecutive points and
-# splits each block into boxes of BOX_ROWS consecutive points for the seed
-# prune.
-_BLOCK = 1024
-
-
-def _nearest_seeds(
-    chunk: np.ndarray, seeds: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest seed of every chunk row, and whether it lies within radius.
-
-    Seeds whose :func:`box_lower_bound` exceeds ``radius`` can be no
-    row's target and are skipped.
-    """
-    k, dim = chunk.shape
-    boxes = -(-k // BOX_ROWS)
-    # Pad the last box with copies of the last row; they leave its range
-    # unchanged and their results are dropped.
-    pad = np.repeat(chunk[-1:], boxes * BOX_ROWS - k, axis=0)
-    cube = np.concatenate([chunk, pad]).reshape(boxes, BOX_ROWS, dim)
-    lo = cube.min(axis=1)[:, None, :]
-    hi = cube.max(axis=1)[:, None, :]
-    alive = box_lower_bound(seeds[None, :, :], lo, hi) <= radius  # (boxes, seeds)
-    width = max(1, int(alive.sum(axis=1).max()))
-    # Surviving seeds first, in ascending seed index; the rest is padding.
-    cand = np.argsort(~alive, axis=1, kind="stable")[:, :width]
-    live = np.take_along_axis(alive, cand, axis=1)
-    dists = capped_distance(cube[:, :, None, :], seeds[cand][:, None, :, :])
-    dists = np.where(live[:, None, :], dists, np.inf)  # (boxes, BOX_ROWS, width)
-    pick = np.argmin(dists, axis=2)  # first minimum: the earliest seed
-    nearest = np.take_along_axis(cand, pick, axis=1).ravel()[:k]
-    within = (dists.min(axis=2) <= radius).ravel()[:k]
-    return nearest, within
+# One seed's update handles this many boxes at a time, so its temporaries
+# stay near 32 768 rows however many boxes the seed reaches.  A seed that
+# reaches every box of the default window's tail (the stereographic pair)
+# would otherwise gather all 390 002 rows at once.
+_UPDATE_BOXES = 1024
 
 
 def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
@@ -284,40 +256,54 @@ def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
     by founding time.  Points must be finite; a NaN coordinate has no
     nearest seed, so non-finite input raises ValueError.
 
-    Points are processed in blocks: a whole block is matched against the
-    current seeds at once, and the block is cut at the first point that
-    founds a new seed, which reproduces the sequential result exactly.
+    The points are boxed once, ``BOX_ROWS`` consecutive rows per box.  When
+    row f founds seed k, the seed is matched once against the rows after
+    f, in the boxes whose :func:`~compactify.product_space.box_lower_bound`
+    is at most ``radius``.  A row takes seed k when its distance d is at
+    most ``radius`` and below the row's best distance so far.  The next
+    founder is the first later row that no seed reached.  The labels equal
+    those of a search against every seed, bit for bit:
 
-    Within a block, seeds are pruned per box of consecutive points by the
-    exact :func:`~compactify.product_space.box_lower_bound`.  Survivors
-    keep ascending seed order, so argmin keeps the earliest-seed
-    tie-break, and the labels equal those of the dense search bit for bit.
-    The boxes are over the points, not the seeds: the seed set grows
-    after every founder, so boxes over it would be rebuilt every time.
+    - seed k updates only rows after f, so each row is compared with
+      exactly the seeds founded before it;
+    - every such seed has been applied by the time the founder scan
+      reaches the row;
+    - a pruned box holds no row within ``radius``, by the bound's proof;
+    - every distance comes from the same kernel, element by element, and
+      the strict ``d < best`` keeps a tie with the earliest seed.
     """
     points = np.asarray(points, dtype=np.float64)
-    n, dim = points.shape
+    n, _ = points.shape
     if not np.isfinite(points).all():
         raise ValueError("greedy_cluster needs finite points")
     labels = np.empty(n, dtype=np.int64)
     if n == 0:
         return labels
-    labels[0] = 0
-    seeds = points[:1]
-    i = 1
-    while i < n:
-        chunk = points[i : i + _BLOCK]
-        nearest, within = _nearest_seeds(chunk, seeds, radius)
-        if within.all():
-            labels[i : i + chunk.shape[0]] = nearest
-            i += chunk.shape[0]
-            continue
-        cut = int(np.argmin(within))  # first founder in the block
-        labels[i : i + cut] = nearest[:cut]
-        labels[i + cut] = seeds.shape[0]
-        seeds = np.vstack([seeds, points[i + cut : i + cut + 1]])
-        i += cut + 1
-    return labels
+    boxed = BoxedCloud.of(points)
+    best = np.full(n, np.inf)
+    in_box = np.arange(BOX_ROWS)
+    f, k = 0, 0
+    while True:
+        labels[f] = k
+        first = f // BOX_ROWS
+        bound = box_lower_bound(points[f], boxed.lo[first:], boxed.hi[first:])
+        alive = first + np.flatnonzero(bound <= radius)
+        for part in range(0, alive.size, _UPDATE_BOXES):
+            rows = (alive[part : part + _UPDATE_BOXES, None] * BOX_ROWS + in_box).ravel()
+            rows = rows[(rows > f) & (rows < n)]
+            d = capped_distance(points[rows], points[f])
+            take = (d <= radius) & (d < best[rows])
+            best[rows[take]] = d[take]
+            labels[rows[take]] = k
+        # The next founder: the first later row no seed reached, found in
+        # windows that double, so the scans cost O(n) in all.
+        start, width = f + 1, BOX_ROWS
+        while start < n and np.isfinite(best[start : start + width]).all():
+            start, width = start + width, 2 * width
+        if start >= n:
+            return labels
+        f = start + int(np.argmax(np.isinf(best[start : start + width])))
+        k += 1
 
 
 def _cluster_side(witnesses: np.ndarray) -> str:
@@ -534,7 +520,7 @@ def load_model(path) -> CompactificationModel:
             raise ValueError(f"{path}: not a model file (bad magic)")
         try:
             if magic == _CPTF1_MAGIC:
-                return _model_from_json(json.loads(fh.read().decode("utf-8")))
+                return _model_from_json(decode_json(fh.read().decode("utf-8")))
             return _read_cptf2(fh)
         except KeyError as exc:
             raise ValueError(f"{path}: malformed model file: missing field {exc}") from exc
@@ -558,7 +544,7 @@ def _read_cptf2(fh) -> CompactificationModel:
     rest = size - len(MODEL_MAGIC) - _HEADER_LEN.size
     if header_len > rest:
         raise ValueError(f"header length {header_len} exceeds the {rest} bytes that follow it")
-    header = json.loads(fh.read(header_len).decode("utf-8"))
+    header = decode_json(fh.read(header_len).decode("utf-8"))
     if not isinstance(header, dict):
         raise TypeError(f"header must be an object, not {type(header).__name__}")
     family = FunctionFamily.from_json(header["family"])
@@ -597,25 +583,32 @@ def _read_cptf2(fh) -> CompactificationModel:
     if int(labels.max()) >= k:
         raise ValueError(f"label {int(labels.max())} is not below the cluster count {k}")
     groups = _members(labels, k)
-    for cid, members in enumerate(groups):
-        if members.size == 0:
-            raise ValueError(f"cluster {cid} has no witnesses")
-    remainder = []
-    for cid, (c, members) in enumerate(zip(clusters, groups)):
-        witnesses = tail[members]
-        if c["side"] != _cluster_side(witnesses):
-            raise ValueError(f"cluster {cid} side {c['side']!r} disagrees with its witnesses")
-        center = np.asarray(c["center"], dtype=np.float64)
-        if center.shape != (len(family),):
-            raise ValueError(f"cluster {cid} center has {center.size} coordinates, not {len(family)}")
-        remainder.append(RemainderCluster(cid, center, c["side"], witnesses))
     return CompactificationModel(
         embedding=EmbeddingMap(family),
         params=params,
         image_params=image_params,
         image_points=image_points,
-        remainder=tuple(remainder),
+        remainder=tuple(
+            _checked_cluster(cid, c, tail[members], len(family))
+            for cid, (c, members) in enumerate(zip(clusters, groups))
+        ),
     )
+
+
+def _checked_cluster(cid: int, c: dict, witnesses: np.ndarray, dim: int) -> RemainderCluster:
+    """Cluster ``cid`` of a model file from its entry ``c``, once its
+    witnesses are a non-empty list, its side agrees with them and its
+    center has ``dim`` coordinates."""
+    if witnesses.size == 0:
+        raise ValueError(f"cluster {cid} has no witnesses")
+    if witnesses.ndim != 1:
+        raise ValueError(f"cluster {cid} witnesses of shape {witnesses.shape} are not a list")
+    if c["side"] != _cluster_side(witnesses):
+        raise ValueError(f"cluster {cid} side {c['side']!r} disagrees with its witnesses")
+    center = np.asarray(c["center"], dtype=np.float64)
+    if center.shape != (dim,):
+        raise ValueError(f"cluster {cid} center has {center.size} coordinates, not {dim}")
+    return RemainderCluster(cid, center, c["side"], witnesses)
 
 
 def _decode_array(obj: dict) -> np.ndarray:
@@ -627,21 +620,23 @@ def _model_from_json(body: dict) -> CompactificationModel:
     family = FunctionFamily.from_json(body["family"])
     if not isinstance(body["remainder"], list):
         raise TypeError(f"remainder must be a list, not {type(body['remainder']).__name__}")
-    clusters = tuple(
-        RemainderCluster(
-            cluster_id=int(c["cluster_id"]),
-            center=np.asarray(c["center"], dtype=np.float64),
-            side=c["side"],
-            witnesses=_decode_array(c["witnesses"]),
+    image_params = _decode_array(body["image_params"])
+    image_points = _decode_array(body["image_points"])
+    shape = (image_params.size, len(family))
+    if image_params.ndim != 1 or image_points.shape != shape:
+        raise ValueError(
+            f"image points of shape {image_points.shape} do not match "
+            f"{image_params.shape} image parameters in {len(family)} coordinates"
         )
-        for c in body["remainder"]
-    )
     return CompactificationModel(
         embedding=EmbeddingMap(family),
         params=BuildParams.from_json(body["params"]),
-        image_params=_decode_array(body["image_params"]),
-        image_points=_decode_array(body["image_points"]),
-        remainder=clusters,
+        image_params=image_params,
+        image_points=image_points,
+        remainder=tuple(
+            _checked_cluster(int(c["cluster_id"]), c, _decode_array(c["witnesses"]), len(family))
+            for c in body["remainder"]
+        ),
     )
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "MAX_CHEB_DEGREE",
+    "MAX_DESCRIPTOR_DEPTH",
     "Interval",
     "FunctionDescriptor",
     "Tanh",
@@ -38,6 +39,11 @@ __all__ = [
 # O(n) per point: at this bound one pass over the 390 002 tail samples of
 # the default window takes about a second.
 MAX_CHEB_DEGREE = 1000
+
+# Most descriptors one JSON descriptor may nest, itself included.
+# Evaluation, ranges and JSON output recurse once per level; at this depth
+# they stay far below Python's default recursion limit of 1000.
+MAX_DESCRIPTOR_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -131,9 +137,11 @@ class Tanh(FunctionDescriptor):
         self._require_finite("a", "b")
 
     def _raw(self, arr):
-        # a x + b, then tanh, in one new array.
-        phase = np.multiply(self.a, arr, out=np.empty_like(arr))
-        phase += self.b
+        # a x + b, then tanh, in one new array.  A phase that overflows to
+        # +-inf has tanh exactly +-1, so the overflow is harmless.
+        with np.errstate(over="ignore"):
+            phase = np.multiply(self.a, arr, out=np.empty_like(arr))
+            phase += self.b
         return np.tanh(phase, out=phase)
 
     def range_interval(self) -> Interval:
@@ -157,9 +165,11 @@ class Cos(FunctionDescriptor):
         self._require_finite("a", "b")
 
     def _raw(self, arr):
-        # Every step after a x works in place on one new array.
-        phase = np.multiply(self.a, arr, out=np.empty_like(arr))
-        phase += self.b
+        # Every step after a x works in place on one new array.  A phase
+        # that overflows is collapsed below, so the overflow is harmless.
+        with np.errstate(over="ignore"):
+            phase = np.multiply(self.a, arr, out=np.empty_like(arr))
+            phase += self.b
         # cos(|p|) = cos(p); taking |p| first makes the evenness of cos hold
         # bitwise, so Cos(-n, 0) and Cos(n, 0) agree exactly.
         np.abs(phase, out=phase)
@@ -386,12 +396,20 @@ class FunctionFamily:
     @classmethod
     def from_file(cls, path) -> "FunctionFamily":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = decode_json(fh.read())
         if isinstance(data, dict) and "family" in data:
             data = data["family"]
         if not isinstance(data, list):
             raise ValueError("family file must hold a JSON array of descriptors")
         return cls.from_json(data)
+
+
+def decode_json(text: str):
+    """``json.loads``, with JSON nested too deeply to decode a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def _field(obj: dict, key: str):
@@ -401,8 +419,14 @@ def _field(obj: dict, key: str):
     return obj[key]
 
 
-def descriptor_from_json(obj: dict) -> FunctionDescriptor:
-    """Parse one descriptor from its JSON object form."""
+def descriptor_from_json(obj: dict, depth: int = 1) -> FunctionDescriptor:
+    """Parse one descriptor from its JSON object form.
+
+    ``depth`` counts the descriptors around ``obj``, itself included; past
+    ``MAX_DESCRIPTOR_DEPTH`` the descriptor is refused.
+    """
+    if depth > MAX_DESCRIPTOR_DEPTH:
+        raise ValueError(f"descriptor nesting exceeds MAX_DESCRIPTOR_DEPTH = {MAX_DESCRIPTOR_DEPTH}")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"not a descriptor object: {obj!r}")
     kind = obj["kind"]
@@ -415,12 +439,12 @@ def descriptor_from_json(obj: dict) -> FunctionDescriptor:
     if kind == "stereo_y":
         return StereoY()
     if kind == "cheb":
-        return Cheb(_field(obj, "n"), descriptor_from_json(_field(obj, "inner")))
+        return Cheb(_field(obj, "n"), descriptor_from_json(_field(obj, "inner"), depth + 1))
     if kind == "const":
         return Const(float(_field(obj, "c")))
     if kind == "affine":
         return AffineImage(
-            descriptor_from_json(_field(obj, "inner")),
+            descriptor_from_json(_field(obj, "inner"), depth + 1),
             float(obj.get("scale", 1.0)),
             float(obj.get("shift", 0.0)),
         )

@@ -3,16 +3,18 @@ from __future__ import annotations
 import json
 import math
 import struct
+import warnings
 
+import numpy as np
 import pytest
 
 from compactify import cli, ordering
 from compactify.cli import run
 from compactify.compactification import load_model
-from compactify.functions import MAX_CHEB_DEGREE, Cos, Tanh
+from compactify.functions import MAX_CHEB_DEGREE, MAX_DESCRIPTOR_DEPTH, Cos, Tanh
 from compactify.ordering import Incomparable
 
-from model_files import cptf1_body, split_cptf2, write_cptf1, write_cptf1_body
+from model_files import cptf1_body, encode_array, split_cptf2, write_cptf1, write_cptf1_body
 
 SMALL_FLAGS = [
     "--r-image", "5", "--r-tail-lo", "5", "--r-tail-hi", "200", "--grid-step", "0.05",
@@ -293,12 +295,40 @@ def _cluster_without_witnesses(body):
     del body["remainder"][-1]["witnesses"]
 
 
+def _short_center(body):
+    body["remainder"][0]["center"].pop()
+
+
+def _image_row_missing(body):
+    rows, dim = body["image_points"]["shape"]
+    body["image_points"] = encode_array(np.zeros((rows - 1, dim)))
+
+
+def _empty_witnesses(body):
+    body["remainder"][-1]["witnesses"] = encode_array(np.empty(0))
+
+
+def _witnesses_as_a_column(body):
+    w = body["remainder"][0]["witnesses"]
+    w["shape"] = [w["shape"][0], 1]
+
+
+def _flip_side(body):
+    c = body["remainder"][0]
+    c["side"] = "-inf" if c["side"] == "+inf" else "+inf"
+
+
 @pytest.mark.parametrize(
     "damage,message",
     [
         (_drop_remainder, "missing field 'remainder'"),
         (_remainder_not_a_list, "remainder must be a list"),
         (_cluster_without_witnesses, "missing field 'witnesses'"),
+        (_short_center, "center has 1 coordinates, not 2"),
+        (_image_row_missing, "image points of shape"),
+        (_empty_witnesses, "has no witnesses"),
+        (_witnesses_as_a_column, "are not a list"),
+        (_flip_side, "disagrees with its witnesses"),
     ],
 )
 def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, damage, message, capsys):
@@ -500,6 +530,56 @@ def test_bad_chebyshev_degrees_are_usage_errors(tmp_path, degree, message, capsy
     assert run(["build", "--family", fam, "--out", str(out), *SMALL_FLAGS]) == 2
     assert message in _one_line_error(capsys)
     assert not out.exists()
+
+
+def _nested_affine(depth: int) -> str:
+    # JSON text, since json.dumps itself recurses once per level
+    return '{"kind": "affine", "inner": ' * (depth - 1) + '{"kind": "tanh"}' + "}" * (depth - 1)
+
+
+@pytest.mark.parametrize(
+    "depth, message",
+    [
+        (MAX_DESCRIPTOR_DEPTH + 1, f"exceeds MAX_DESCRIPTOR_DEPTH = {MAX_DESCRIPTOR_DEPTH}"),
+        (900, f"exceeds MAX_DESCRIPTOR_DEPTH = {MAX_DESCRIPTOR_DEPTH}"),
+        (100_000, "JSON nested too deeply to decode"),
+    ],
+)
+def test_deeply_nested_descriptors_are_usage_errors(tmp_path, small_model_file, depth, message, capsys):
+    text = _nested_affine(depth)
+    fam = tmp_path / "family.json"
+    fam.write_text(f"[{text}]")
+    out = tmp_path / "m.cptf"
+    capsys.readouterr()
+    assert run(["build", "--family", str(fam), "--out", str(out), *SMALL_FLAGS]) == 2
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+    fn = tmp_path / "f.json"
+    fn.write_text(text)
+    assert run(["extend-check", "--model", small_model_file, "--function", str(fn)]) == 2
+    assert message in _one_line_error(capsys)
+    header, image, labels = split_cptf2(open(small_model_file, "rb").read())
+    head = json.dumps({**header, "family": "FAMILY"}).replace('"FAMILY"', f"[{text}]").encode()
+    bad = tmp_path / "bad.cptf"
+    bad.write_bytes(b"CPTF2\n" + struct.pack("<Q", len(head)) + head + image + labels)
+    assert run(["remainder", "--model", str(bad)]) == 2
+    err = _one_line_error(capsys)
+    assert str(bad) in err and message in err
+
+
+def test_descriptors_at_the_depth_bound_build(tmp_path):
+    fam = tmp_path / "family.json"
+    fam.write_text(f"[{_nested_affine(MAX_DESCRIPTOR_DEPTH)}]")
+    assert run(["build", "--family", str(fam), "--out", str(tmp_path / "m.cptf"), *SMALL_FLAGS]) == 0
+
+
+@pytest.mark.parametrize("kind", ["tanh", "cos"])
+def test_an_overflowing_phase_builds_without_warnings(tmp_path, kind, capsys):
+    fam = write_json(tmp_path / "family.json", [{"kind": "tanh"}, {"kind": kind, "a": 1e308}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["build", "--family", fam, "--out", str(tmp_path / "m.cptf"), *SMALL_FLAGS]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_records_criteria_in_run_order(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactify.acceptance import chain_family
 from compactify.compactification import (
@@ -11,6 +13,7 @@ from compactify.compactification import (
     BuildParams,
     EmbeddingMap,
     Membership,
+    _UPDATE_BOXES,
     _image_grid,
     _tail_grids,
     build_compactification,
@@ -22,7 +25,7 @@ from compactify.compactification import (
     write_remainder_csv,
 )
 from compactify.functions import Cos, FunctionFamily, StereoX, StereoY, Tanh
-from compactify.product_space import ProductPoint, capped_distance, distances_to_cloud
+from compactify.product_space import BOX_ROWS, ProductPoint, capped_distance, distances_to_cloud
 
 from conftest import SMALL
 
@@ -88,14 +91,13 @@ def test_greedy_cluster_matches_sequential_reference():
     assert list(got) == expected
 
 
-def _dense_greedy_cluster(points, radius):
+def _dense_greedy_cluster(points, radius, block=4096):
     # the former dense kernel, kept as an oracle: every block against every
     # seed, cut at the first founder
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
     labels = np.empty(n, dtype=np.int64)
     seed_mat = np.empty((0, dim))
-    block = 4096
     i = 0
     while i < n:
         if not seed_mat.shape[0]:
@@ -193,6 +195,76 @@ def test_greedy_cluster_is_deterministic():
     rng = np.random.default_rng(8)
     cloud = rng.uniform(-1.0, 1.0, (3000, 2))
     assert np.array_equal(greedy_cluster(cloud, 0.1), greedy_cluster(cloud, 0.1))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1025])
+def test_greedy_cluster_matches_dense_search_at_box_edges(n):
+    # lengths around BOX_ROWS = 32, so the last box is full or partial
+    cloud = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+    assert np.array_equal(greedy_cluster(cloud, 0.3), _dense_greedy_cluster(cloud, 0.3))
+
+
+def test_greedy_cluster_founds_a_seed_inside_the_last_partial_box():
+    # 1000 rows: 31 full boxes and one of 8 rows, 992..999
+    rng = np.random.default_rng(2)
+    cloud = rng.normal(0.0, 0.001, (1000, 2))
+    cloud[[995, 997, 999]] += 0.9
+    got = greedy_cluster(cloud, 0.05)
+    assert list(np.unique(got, return_index=True)[1]) == [0, 995]
+    assert got[997] == got[999] == 1
+    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.05))
+
+
+def test_greedy_cluster_matches_dense_search_on_a_founder_dense_cloud():
+    # nearly every box holds a founder and prunes little
+    cloud = np.random.default_rng(0).uniform(-1.0, 1.0, (6000, 4))
+    got = greedy_cluster(cloud, 0.25)
+    assert got.max() + 1 == 389
+    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.25, block=32))
+
+
+def test_greedy_cluster_matches_dense_search_when_seeds_reach_many_boxes():
+    # boxes of 32 uniform points span most of the square, so few are
+    # pruned and each seed updates more than _UPDATE_BOXES boxes, in parts
+    cloud = np.random.default_rng(12).uniform(0.0, 0.2, (40_000, 2))
+    got = greedy_cluster(cloud, 0.12)
+    assert -(-cloud.shape[0] // BOX_ROWS) > _UPDATE_BOXES and got.max() > 2
+    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.12))
+
+
+def test_greedy_cluster_keeps_exact_ties_on_a_dyadic_grid():
+    # row 41 on is exactly 0.25 from seed 0 (row 0) and seed 1 (row 1),
+    # in later boxes than both: the tie goes to seed 0
+    cloud = np.zeros((100, 2))
+    cloud[1:41, 0] = 0.5
+    cloud[41:, 0] = 0.25
+    assert list(greedy_cluster(cloud, 0.25)) == [0] + [1] * 40 + [0] * 59
+    # a box of copies of one row exactly at the radius has the radius as
+    # its bound, and is kept, in a full box and in a partial one
+    for n in (64, 33):
+        edge = np.zeros((n, 2))
+        edge[32:, 0] = 0.125
+        assert not greedy_cluster(edge, 0.125).any()
+    rng = np.random.default_rng(9)
+    grid = rng.integers(0, 8, (2000, 3)) * 0.125
+    assert np.array_equal(greedy_cluster(grid, 0.25), _dense_greedy_cluster(grid, 0.25))
+
+
+_DYADIC = st.integers(-8, 8).map(lambda v: v * 0.125)
+
+
+@settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+@given(data=st.data())
+def test_greedy_cluster_matches_dense_search_on_small_clouds(data):
+    # a few distinct rows, repeated in random order: duplicates and exact
+    # ties on dyadic values, mixed with arbitrary floats
+    dim = data.draw(st.integers(1, 3))
+    value = st.one_of(_DYADIC, st.floats(-2.0, 2.0))
+    base = data.draw(st.lists(st.tuples(*[value] * dim), min_size=1, max_size=40))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=120))
+    cloud = np.array(base, dtype=np.float64)[picks]
+    radius = data.draw(st.sampled_from([0.0625, 0.125, 0.25, 0.5, 1.0]))
+    assert np.array_equal(greedy_cluster(cloud, radius), _dense_greedy_cluster(cloud, radius))
 
 
 def test_build_rejects_step_wider_than_window():
