@@ -42,6 +42,7 @@ from .product_space import (
 )
 
 __all__ = [
+    "BUILD_PARAMS",
     "AcceptanceContext",
     "CriterionResult",
     "CRITERIA",
@@ -71,17 +72,20 @@ def chain_family(depth: int) -> FunctionFamily:
     return FunctionFamily(tuple(descriptors))
 
 
+# The build parameters of every model the criteria build.
+BUILD_PARAMS = BuildParams()
+
+
 @dataclass
 class AcceptanceContext:
     """Seeded context with a build cache shared across criteria."""
 
     seed: int = 7
-    params: BuildParams = field(default_factory=BuildParams)
     _models: dict[FunctionFamily, CompactificationModel] = field(default_factory=dict)
 
     def model(self, family: FunctionFamily) -> CompactificationModel:
         if family not in self._models:
-            self._models[family] = build_compactification(family, self.params)
+            self._models[family] = build_compactification(family, BUILD_PARAMS)
         return self._models[family]
 
     def rng(self, salt: int = 0) -> np.random.Generator:
@@ -425,7 +429,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
         max(bond_residuals) <= 1e-9
         and thread_sup <= 1e-9
         and lift_failures == 0
-        and agree_sup <= 2.0 * ctx.params.cluster_radius
+        and agree_sup <= 2.0 * BUILD_PARAMS.cluster_radius
         and limit_ok
         and all(r is not None and r <= 1e-9 for r in limit_residuals)
     )
@@ -486,7 +490,7 @@ def verify_report_body(seed: int, ids: tuple[int, ...] | None = None) -> dict:
     return {
         "tool_version": __version__,
         "seed": seed,
-        "build_params": ctx.params.to_json(),
+        "build_params": BUILD_PARAMS.to_json(),
         "all_passed": all(r.passed for r in results),
         "criteria": [r.to_json() for r in results],
     }

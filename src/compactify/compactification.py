@@ -13,8 +13,8 @@ import json
 import math
 import os
 import struct
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "CompactificationModel",
     "Membership",
     "build_compactification",
-    "image_boxes",
     "closure_membership",
     "remainder_separation",
     "greedy_cluster",
@@ -205,6 +204,12 @@ class CompactificationModel:
     def embed(self, x: float) -> ProductPoint:
         return self.embedding.embed(x)
 
+    @cached_property
+    def image_boxes(self) -> BoxedCloud:
+        """The image cloud boxed for :func:`nearest_in_cloud`; computed on
+        first use and kept with the model, which is treated as immutable."""
+        return BoxedCloud.of(self.image_points)
+
     def remainder_centers(self) -> np.ndarray:
         if not self.remainder:
             return np.empty((0, self.dim))
@@ -357,20 +362,6 @@ def build_compactification(
     )
 
 
-# Box ranges of each model's image cloud.  Models hash by identity
-# (eq=False) and are held weakly, so an entry dies with its model.
-_IMAGE_BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def image_boxes(model: CompactificationModel) -> BoxedCloud:
-    """The model's image cloud boxed for :func:`nearest_in_cloud`; computed
-    once per model, which is treated as immutable."""
-    boxed = _IMAGE_BOXES.get(model)
-    if boxed is None:
-        boxed = _IMAGE_BOXES[model] = BoxedCloud.of(model.image_points)
-    return boxed
-
-
 @dataclass(frozen=True)
 class Membership:
     """Where a probe point landed relative to a model."""
@@ -393,7 +384,7 @@ def closure_membership(
     cluster center is reported as remainder even though some image sample
     is equally close.
 
-    The image cloud is searched through :func:`image_boxes`; the result
+    The image cloud is searched through ``model.image_boxes``; the result
     equals a scan of every image point.
     """
     if p.space != model.space:
@@ -411,7 +402,7 @@ def closure_membership(
         if nearest_center < eps:
             return Membership("remainder", nearest_center, cluster_id=best_c)
 
-    best, dist = nearest_in_cloud(arr, image_boxes(model))
+    best, dist = nearest_in_cloud(arr, model.image_boxes)
     if dist < eps:
         return Membership("image", dist, parameter=float(model.image_params[best]))
     return Membership("outside", min(dist, nearest_center))
@@ -426,7 +417,7 @@ def remainder_separation(model: CompactificationModel) -> float:
     narrow windows it measures how clearly the remainder stands off the
     sampled arc.
     """
-    boxed = image_boxes(model)
+    boxed = model.image_boxes
     return min((nearest_in_cloud(c.center, boxed)[1] for c in model.remainder), default=np.inf)
 
 
@@ -579,6 +570,7 @@ def _read_cptf2(fh) -> CompactificationModel:
     labels = np.empty(tails, dtype=dtype)
     _read_into(fh, image_points, "image section")
     _read_into(fh, labels, "label section")
+    _check_finite_image(image_points)
 
     if int(labels.max()) >= k:
         raise ValueError(f"label {int(labels.max())} is not below the cluster count {k}")
@@ -595,10 +587,17 @@ def _read_cptf2(fh) -> CompactificationModel:
     )
 
 
+def _check_finite_image(image_points: np.ndarray) -> None:
+    """A model file's image points must be finite: a NaN compares false
+    with every tolerance, so it would pass any check it reached."""
+    if not np.isfinite(image_points).all():
+        raise ValueError("image points are not all finite")
+
+
 def _checked_cluster(cid: int, c: dict, witnesses: np.ndarray, dim: int) -> RemainderCluster:
     """Cluster ``cid`` of a model file from its entry ``c``, once its
     witnesses are a non-empty list, its side agrees with them and its
-    center has ``dim`` coordinates."""
+    center has ``dim`` finite coordinates."""
     if witnesses.size == 0:
         raise ValueError(f"cluster {cid} has no witnesses")
     if witnesses.ndim != 1:
@@ -608,6 +607,8 @@ def _checked_cluster(cid: int, c: dict, witnesses: np.ndarray, dim: int) -> Rema
     center = np.asarray(c["center"], dtype=np.float64)
     if center.shape != (dim,):
         raise ValueError(f"cluster {cid} center has {center.size} coordinates, not {dim}")
+    if not np.isfinite(center).all():
+        raise ValueError(f"cluster {cid} center is not finite")
     return RemainderCluster(cid, center, c["side"], witnesses)
 
 
@@ -628,6 +629,7 @@ def _model_from_json(body: dict) -> CompactificationModel:
             f"image points of shape {image_points.shape} do not match "
             f"{image_params.shape} image parameters in {len(family)} coordinates"
         )
+    _check_finite_image(image_points)
     return CompactificationModel(
         embedding=EmbeddingMap(family),
         params=BuildParams.from_json(body["params"]),

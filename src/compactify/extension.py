@@ -123,8 +123,6 @@ class ExtensionReport:
     verdict: Verdict
     deltas: tuple[float, ...]
     tables: dict[int, tuple[OscillationRow, ...]]
-    pass_threshold: float = PASS_THRESHOLD
-    fail_threshold: float = FAIL_THRESHOLD
     coordinate: int | None = None
     values: dict[int, float] | None = None
     failing_cluster: int | None = None
@@ -135,8 +133,8 @@ class ExtensionReport:
         return {
             "verdict": self.verdict.value,
             "deltas": list(self.deltas),
-            "pass_threshold": self.pass_threshold,
-            "fail_threshold": self.fail_threshold,
+            "pass_threshold": PASS_THRESHOLD,
+            "fail_threshold": FAIL_THRESHOLD,
             "coordinate": self.coordinate,
             "values": (
                 {str(k): v for k, v in self.values.items()} if self.values is not None else None
@@ -175,18 +173,18 @@ class _WitnessShells:
     """The probe-independent part of an extend-check on one model.
 
     ``counts[c, k]`` is the number of cluster c's witnesses whose
-    embeddings lie within ``deltas[k]`` of its center.  ``parts[c]`` holds
-    those within ``deltas[0]``, stably sorted innermost shell first, so
-    the ones within ``deltas[k]`` are its first ``counts[c, k]`` entries.
-    Concatenated, the parts split into (cluster, shell) segments, cluster
-    by cluster and innermost shell first; segment i starts at
-    ``bounds[i]``, and ``bounds[-1]`` is the total.  ``empty`` marks the
-    segments that hold no witness.
+    embeddings lie within ``deltas[k]`` of its center.  ``witnesses``
+    holds, cluster by cluster, those within ``deltas[0]``, stably sorted
+    innermost shell first, so a cluster's ones within ``deltas[k]`` are
+    the first ``counts[c, k]`` of its run.  The array splits into
+    (cluster, shell) segments, cluster by cluster and innermost shell
+    first; segment i starts at ``bounds[i]``, and ``bounds[-1]`` is the
+    total.  ``empty`` marks the segments that hold no witness.
     """
 
     deltas: tuple[float, ...]
     counts: np.ndarray  # (clusters, deltas) int
-    parts: tuple[np.ndarray, ...]
+    witnesses: np.ndarray  # (bounds[-1],) tail parameters
     bounds: np.ndarray  # (clusters * deltas + 1,) int
     empty: np.ndarray  # (clusters, deltas) bool, segments innermost first
 
@@ -197,7 +195,8 @@ _EVAL_BLOCK = 65_536
 
 # One slot per model, for the ladder it was last checked with.  Models
 # hash by identity (eq=False) and are held weakly, so an entry dies with
-# its model.
+# its model.  The slot lives here, not on the model, because its key is
+# the probe-radius ladder, which only extension checks know about.
 _SHELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -229,7 +228,7 @@ def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> 
     shells = _WitnessShells(
         deltas=deltas,
         counts=counts,
-        parts=tuple(parts),
+        witnesses=np.concatenate(parts),
         bounds=np.concatenate([[0], np.cumsum(sizes)]),
         empty=sizes == 0,
     )
@@ -285,7 +284,7 @@ def check_extendability(
             f"delta={deltas[-1]}; rebuild with a denser tail grid "
             "(smaller grid_step) or a larger smallest delta"
         )
-    xs = np.concatenate(shells.parts)
+    xs = shells.witnesses
     # One slot past the witnesses holds a sentinel, so the bounds can end
     # with the total and no segment runs on past its end; the sentinel's
     # own reduction is dropped.

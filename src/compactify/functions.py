@@ -303,6 +303,9 @@ class AffineImage(FunctionDescriptor):
 
     def __post_init__(self) -> None:
         self._require_finite("scale", "shift")
+        iv = self.range_interval()
+        if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
+            raise ValueError(f"AffineImage range [{iv.lo}, {iv.hi}] is not finite")
 
     def _raw(self, arr):
         return self.scale * np.asarray(self.inner.evaluate(arr)) + self.shift

@@ -8,8 +8,8 @@ limit itself is modeled by the union family, which dominates every level.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -17,14 +17,13 @@ import numpy as np
 from .compactification import (
     CompactificationModel,
     build_compactification,
-    image_boxes,
+    closure_membership,
 )
 from .functions import FunctionFamily
 from .ordering import ComparisonWitness, Incomparable, apply_witness, compare
 from .product_space import (
     BoxedCloud,
     ProductPoint,
-    distances_to_cloud,
     nearest_in_cloud,
     product_distance,
 )
@@ -69,6 +68,17 @@ class InverseSystem:
     @property
     def depth(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def pushed_candidates(self) -> tuple[BoxedCloud, ...]:
+        """Per bond i, level i+1's image points, then its remainder centers,
+        pushed down through the bond and boxed for :func:`nearest_in_cloud`;
+        row k is the image of candidate k.  Computed for every bond on first
+        use and kept with the system, which is treated as immutable."""
+        return tuple(
+            BoxedCloud.of(apply_witness(bond, _level_candidates(upper)))
+            for upper, bond in zip(self.levels[1:], self.bonds)
+        )
 
     @classmethod
     def from_levels(cls, levels: Sequence[CompactificationModel]) -> "InverseSystem":
@@ -135,22 +145,6 @@ def _level_candidates(model: CompactificationModel) -> np.ndarray:
     return np.vstack([model.image_points, centers])
 
 
-# Per system, the bond images of each level's lift candidates, boxed for
-# nearest_in_cloud and filled one bond at a time.  Systems hash by identity
-# (eq=False) and are held weakly, so an entry dies with its system.
-_PUSHED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _pushed_candidates(system: InverseSystem, i: int) -> BoxedCloud:
-    """Level i+1's image points, then its remainder centers, pushed down
-    through bond i; row k is the image of candidate k."""
-    pushed = _PUSHED.setdefault(system, {})
-    if i not in pushed:
-        candidates = _level_candidates(system.levels[i + 1])
-        pushed[i] = BoxedCloud.of(apply_witness(system.bonds[i], candidates))
-    return pushed[i]
-
-
 def _candidate(model: CompactificationModel, k: int) -> np.ndarray:
     """Lift candidate k of a level: an image point, or past the image
     points a remainder center."""
@@ -172,11 +166,13 @@ def lift_point(
     there is too sparse.  A ``tol`` that is not positive and finite raises
     ValueError.
 
-    The searches are exact and box-pruned.  Each bond's pushed candidates
+    The level-n point must lie within the base tolerance of the level-n
+    model, as :func:`closure_membership` measures it; otherwise ValueError.
+    The searches are exact and box-pruned.  Every bond's pushed candidates
     (the bond images of the upper level's image points and centers) are
-    computed on the system's first lift through that bond and cached with
-    their box ranges, and each level's image cloud is boxed once per
-    model.  Systems and models are treated as immutable.
+    computed on the system's first lift and kept with their box ranges as
+    ``system.pushed_candidates``, and each level's image cloud is boxed
+    once per model.  Systems and models are treated as immutable.
     """
     if not (0 <= n < system.depth):
         raise IndexError(f"no level {n}")
@@ -188,10 +184,7 @@ def lift_point(
     base_tol = tol
     if base_tol is None:
         base_tol = 2.0 * model.params.cluster_radius
-    arr = p.as_array()
-    near = nearest_in_cloud(arr, image_boxes(model))[1]
-    if model.remainder:
-        near = min(near, float(distances_to_cloud(arr, model.remainder_centers()).min()))
+    near = closure_membership(model, p, base_tol).distance
     if near > base_tol:
         raise ValueError(
             f"point is {near:.3e} away from the level-{n} model, beyond {base_tol:.3e}"
@@ -203,7 +196,7 @@ def lift_point(
     for i in range(n, system.depth - 1):
         model_up = system.levels[i + 1]
         level_tol = tol if tol is not None else 2.0 * model_up.params.cluster_radius
-        best, dist = nearest_in_cloud(entries[i].as_array(), _pushed_candidates(system, i))
+        best, dist = nearest_in_cloud(entries[i].as_array(), system.pushed_candidates[i])
         if dist > level_tol:
             raise LiftError(
                 f"no candidate at level {i + 1} lands within {level_tol:.3e} "

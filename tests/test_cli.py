@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactify import cli, ordering
 from compactify.cli import run
@@ -318,6 +322,17 @@ def _flip_side(body):
     c["side"] = "-inf" if c["side"] == "+inf" else "+inf"
 
 
+def _nan_image_point(body):
+    rows, dim = body["image_points"]["shape"]
+    points = np.zeros((rows, dim))
+    points[rows // 2, 0] = math.nan
+    body["image_points"] = encode_array(points)
+
+
+def _infinite_center(body):
+    body["remainder"][1]["center"][1] = math.inf
+
+
 @pytest.mark.parametrize(
     "damage,message",
     [
@@ -329,6 +344,8 @@ def _flip_side(body):
         (_empty_witnesses, "has no witnesses"),
         (_witnesses_as_a_column, "are not a list"),
         (_flip_side, "disagrees with its witnesses"),
+        (_nan_image_point, "image points are not all finite"),
+        (_infinite_center, "cluster 1 center is not finite"),
     ],
 )
 def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, damage, message, capsys):
@@ -382,6 +399,18 @@ def _with(key, value):
     return lambda h, image, labels: _cptf2({**h, key: value}, image, labels)
 
 
+def _image_float_set(k, value):
+    def damage(h, image, labels):
+        return _cptf2(h, image[: 8 * k] + struct.pack("<d", value) + image[8 * k + 8 :], labels)
+
+    return damage
+
+
+def _nan_center(h, image, labels):
+    h["clusters"][0]["center"][1] = math.nan  # written as NaN
+    return _cptf2(h, image, labels)
+
+
 BAD_CPTF2 = {
     "truncated header length": (lambda h, image, labels: b"CPTF2\n\x10\x00", "truncated header length"),
     "oversized header length": (
@@ -418,6 +447,9 @@ BAD_CPTF2 = {
     "cluster ids out of order": (_swap_first_ids, "cluster ids must run 0..k-1"),
     "side that disagrees": (_flip_first_side, "disagrees with its witnesses"),
     "center short of a coordinate": (_drop_a_center_coordinate, "center has 1 coordinates, not 2"),
+    "NaN image point": (_image_float_set(5, math.nan), "image points are not all finite"),
+    "infinite image point": (_image_float_set(0, -math.inf), "image points are not all finite"),
+    "NaN center": (_nan_center, "cluster 0 center is not finite"),
 }
 
 
@@ -430,10 +462,71 @@ def test_malformed_cptf2_file_is_a_usage_error(tmp_path, small_model_file, case,
     bad.write_bytes(damage(header, image, labels))
     fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
     capsys.readouterr()
-    for argv in (["extend-check", "--model", str(bad), "--function", fn], ["remainder", "--model", str(bad)]):
+    for argv in (
+        ["extend-check", "--model", str(bad), "--function", fn],
+        ["remainder", "--model", str(bad)],
+        ["compare", "--larger", small_model_file, "--smaller", str(bad)],
+    ):
         assert run(argv) == 2
         err = _one_line_error(capsys)
         assert f"error: {bad}: " in err and message in err
+
+
+@pytest.fixture(scope="module")
+def damage_dir(tmp_path_factory):
+    """A directory holding a SMALL tanh+cos CPTF2 file and a probe function."""
+    root = tmp_path_factory.mktemp("damage")
+    family = write_json(root / "family.json", [{"kind": "tanh"}, {"kind": "cos"}])
+    assert run(["build", "--family", family, "--out", str(root / "good.cptf"), *SMALL_FLAGS,
+                "--json-report", str(root / "build.json")]) == 0
+    write_json(root / "f.json", {"kind": "cos", "a": 2.0, "b": 0.5})
+    return root
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["truncate", "flip header", "flip body", "non-finite image"]),
+    where=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_damaged_model_bytes_end_in_a_known_exit(damage_dir, kind, where, bit, value):
+    blob = (damage_dir / "good.cptf").read_bytes()
+    header, image, labels = split_cptf2(blob)
+    body = len(blob) - len(image) - len(labels)  # the first byte after the header
+    if kind == "truncate":
+        blob = blob[: where % len(blob)]
+    elif kind == "non-finite image":
+        blob = _image_float_set(where % (len(image) // 8), value)(header, image, labels)
+    else:
+        i = where % body if kind == "flip header" else body + where % (len(blob) - body)
+        blob = blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1 :]
+    bad = damage_dir / "bad.cptf"
+    bad.write_bytes(blob)
+    report = damage_dir / "report.json"
+    for argv in (["remainder", "--model", str(bad)],
+                 ["extend-check", "--model", str(bad), "--function", str(damage_dir / "f.json")]):
+        report.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([*argv, "--json-report", str(report)])
+        assert code in (0, 2, 3, 4)
+        if code == 2:
+            assert err.getvalue().startswith(f"error: {bad}: ")
+            assert err.getvalue().count("\n") == 1
+            assert not report.exists()
+        else:
+            assert err.getvalue() == ""
+            _strict_json(report.read_text())
+        if kind == "non-finite image":
+            assert code == 2 and "image points are not all finite" in err.getvalue()
 
 
 def test_cptf1_model_files_still_load(tmp_path, small_model_file, capsys):
@@ -580,6 +673,21 @@ def test_an_overflowing_phase_builds_without_warnings(tmp_path, kind, capsys):
         warnings.simplefilter("error")
         assert run(["build", "--family", fam, "--out", str(tmp_path / "m.cptf"), *SMALL_FLAGS]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_an_affine_range_that_overflows_is_a_usage_error(tmp_path, small_model_file, capsys):
+    affine = {"kind": "affine", "inner": {"kind": "tanh"}, "scale": 1e308, "shift": 1e308}
+    fam = write_json(tmp_path / "family.json", [{"kind": "tanh"}, affine])
+    fn = write_json(tmp_path / "f.json", affine)
+    out = tmp_path / "m.cptf"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["build", "--family", fam, "--out", str(out), *SMALL_FLAGS]) == 2
+        assert "AffineImage range [0.0, inf] is not finite" in _one_line_error(capsys)
+        assert run(["extend-check", "--model", small_model_file, "--function", fn]) == 2
+        assert "AffineImage range [0.0, inf] is not finite" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_verify_records_criteria_in_run_order(tmp_path):

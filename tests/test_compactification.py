@@ -91,9 +91,10 @@ def test_greedy_cluster_matches_sequential_reference():
     assert list(got) == expected
 
 
-def _dense_greedy_cluster(points, radius, block=4096):
-    # the former dense kernel, kept as an oracle: every block against every
-    # seed, cut at the first founder
+def _dense_greedy_cluster(points, radius):
+    # the former dense kernel, kept as an oracle: every block of BOX_ROWS
+    # rows against every seed, cut at the first founder; its labels do not
+    # depend on the block size
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
     labels = np.empty(n, dtype=np.int64)
@@ -105,7 +106,7 @@ def _dense_greedy_cluster(points, radius, block=4096):
             labels[i] = 0
             i += 1
             continue
-        chunk = points[i : i + block]
+        chunk = points[i : i + BOX_ROWS]
         dists = capped_distance(chunk[:, None, :], seed_mat[None, :, :])
         nearest = np.argmin(dists, axis=1)
         within = dists[np.arange(chunk.shape[0]), nearest] <= radius
@@ -220,7 +221,7 @@ def test_greedy_cluster_matches_dense_search_on_a_founder_dense_cloud():
     cloud = np.random.default_rng(0).uniform(-1.0, 1.0, (6000, 4))
     got = greedy_cluster(cloud, 0.25)
     assert got.max() + 1 == 389
-    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.25, block=32))
+    assert np.array_equal(got, _dense_greedy_cluster(cloud, 0.25))
 
 
 def test_greedy_cluster_matches_dense_search_when_seeds_reach_many_boxes():

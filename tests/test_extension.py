@@ -158,6 +158,7 @@ def test_report_json_shape(gamma_model):
     blob = report.to_json()
     assert blob["verdict"] == "fails_to_extend"
     assert blob["deltas"] == [0.2, 0.1]
+    assert (blob["pass_threshold"], blob["fail_threshold"]) == (PASS_THRESHOLD, FAIL_THRESHOLD) == (0.05, 0.5)
     assert set(blob["tables"]) == {str(c.cluster_id) for c in gamma_model.remainder}
     row = blob["tables"]["0"][0]
     assert set(row) == {"delta", "count", "oscillation", "midpoint"}
@@ -210,12 +211,7 @@ def _per_cluster_check(model, f, deltas=DEFAULT_DELTAS):
         final_osc[cluster.cluster_id] = last.oscillation
         final_mid[cluster.cluster_id] = last.midpoint
         final_count[cluster.cluster_id] = last.count
-    common = dict(
-        deltas=deltas,
-        pass_threshold=PASS_THRESHOLD,
-        fail_threshold=FAIL_THRESHOLD,
-        tables=tables,
-    )
+    common = dict(deltas=deltas, tables=tables)
     if all(o < PASS_THRESHOLD for o in final_osc.values()):
         return ExtensionReport(verdict=Verdict.EXTENDS_NUMERICALLY, values=final_mid, **common)
     failing = [

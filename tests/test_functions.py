@@ -274,6 +274,13 @@ def test_descriptors_reject_non_finite_parameters(make, bad):
         make(bad)
 
 
+@pytest.mark.parametrize("scale, shift", [(1e308, 1e308), (-1e308, -1e308), (1e308, 8e307)])
+def test_affine_ranges_that_overflow_are_rejected(scale, shift):
+    with pytest.raises(ValueError, match=r"AffineImage range .*inf.* is not finite"):
+        AffineImage(Tanh(), scale, shift)
+    assert AffineImage(Tanh(), scale, 0.0).range_interval() == Interval(-abs(scale), abs(scale))
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from compactify import compactification, inverse_limit
 from compactify.acceptance import chain_family
 from compactify.compactification import (
     BuildParams,
@@ -342,17 +342,20 @@ def test_lift_error_texts_are_unchanged_on_a_coarse_window():
 
 
 def test_cache_entries_die_with_their_system_and_models():
-    inverse_limit._PUSHED.clear()
-    compactification._IMAGE_BOXES.clear()
     system = InverseSystem.from_levels(
         [build_compactification(chain_family(k), SMALL) for k in (1, 2, 3)]
     )
     base = system.levels[0]
-    lift_point(system, 0, ProductPoint(tuple(base.image_points[40]), base.space))
-    assert len(inverse_limit._PUSHED) == 1
-    assert sorted(inverse_limit._PUSHED[system]) == [0, 1]
-    assert len(compactification._IMAGE_BOXES) == 1
-    del system, base
+    p = ProductPoint(tuple(base.image_points[100]), base.space)  # x = 0, far from the remainder
+    lift_point(system, 0, p)
+    # the lift filled both caches: every bond's candidates, the base's boxes
+    assert {"pushed_candidates"} <= set(vars(system)) and {"image_boxes"} <= set(vars(base))
+    pushed = system.pushed_candidates
+    assert len(pushed) == len(system.bonds) == 2
+    lift_point(system, 0, p)
+    assert system.pushed_candidates is pushed
+    assert base.image_boxes is base.image_boxes
+    refs = [weakref.ref(system)] + [weakref.ref(m) for m in system.levels]
+    del system, base, pushed
     gc.collect()
-    assert len(inverse_limit._PUSHED) == 0
-    assert len(compactification._IMAGE_BOXES) == 0
+    assert [r() for r in refs] == [None] * 4

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import struct
 
@@ -167,3 +168,28 @@ def test_an_oversized_header_length_is_refused_before_reading(small_gamma, tmp_p
     bad.write_bytes(MODEL_MAGIC + struct.pack("<Q", 2**64 - 1) + blob[14:])
     with pytest.raises(ValueError, match=re.escape(f"{bad}: malformed model file: header length")):
         load_model(bad)
+
+
+def _image_point_set(model, value):
+    points = model.image_points.copy()
+    points[3, 1] = value
+    return dataclasses.replace(model, image_points=points)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("writer", [save_model, write_cptf1])
+def test_non_finite_image_points_are_refused(small_gamma, tmp_path, writer, value):
+    path = tmp_path / "m.cptf"
+    writer(_image_point_set(small_gamma, value), path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file: image points are not all finite")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_centers_are_refused(small_gamma, tmp_path, value):
+    path = tmp_path / "m.cptf"
+    center = small_gamma.remainder[2].center.copy()
+    center[0] = value
+    write_cptf1(_with_cluster(small_gamma, 2, center=center), path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file: cluster 2 center is not finite")):
+        load_model(path)
