@@ -13,12 +13,12 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .functions import FunctionFamily, decode_json
+from .functions import FunctionFamily, decode_json, json_float
 from .product_space import (
     BOX_ROWS,
     BoxedCloud,
@@ -113,17 +113,11 @@ class BuildParams:
         return image, tails
 
     def to_json(self) -> dict:
-        return {
-            "r_image": self.r_image,
-            "r_tail_lo": self.r_tail_lo,
-            "r_tail_hi": self.r_tail_hi,
-            "grid_step": self.grid_step,
-            "cluster_radius": self.cluster_radius,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BuildParams":
-        return cls(**{k: float(v) for k, v in obj.items()})
+        return cls(**{k: json_float(v, k) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -459,7 +453,8 @@ def save_model(model: CompactificationModel, path) -> None:
     float64, and one label per tail grid parameter.  Image parameters and
     witnesses are not stored: they are the image grid, and each cluster's
     tail parameters in grid order.  A model the format cannot reproduce
-    exactly raises ValueError, and nothing is written.
+    exactly, or with a value that is not finite, raises ValueError, and
+    nothing is written.
     """
     grid = _image_grid(model.params)
     if not np.array_equal(model.image_params, grid):
@@ -471,10 +466,14 @@ def save_model(model: CompactificationModel, path) -> None:
         )
     if [c.cluster_id for c in model.remainder] != list(range(len(model.remainder))):
         raise ValueError("cannot save model: cluster ids must run 0..k-1 in order")
+    if not np.isfinite(model.image_points).all():
+        raise ValueError("cannot save model: image points are not all finite")
     labels = _witness_labels(model)
     for c in model.remainder:
         if c.side != _cluster_side(c.witnesses):
             raise ValueError(f"cannot save model: cluster {c.cluster_id} has side {c.side!r}")
+        if not np.isfinite(c.center).all():
+            raise ValueError(f"cannot save model: cluster {c.cluster_id} center is not finite")
     header = json.dumps(
         {
             "family": model.family.to_json(),
@@ -515,7 +514,7 @@ def load_model(path) -> CompactificationModel:
             return _read_cptf2(fh)
         except KeyError as exc:
             raise ValueError(f"{path}: malformed model file: missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed model file: {exc}") from exc
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -88,16 +88,26 @@ def chebyshev_recurrence(n: int, t: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
-class FunctionDescriptor:
-    """Base class for symbolic descriptors of bounded functions on R."""
+# A float field's annotation, as a string (as here) or as the type.
+_FLOAT = ("float", float)
 
-    def _require_finite(self, *names: str) -> None:
-        for name in names:
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"{type(self).__name__}.{name} must be finite, got {value!r}"
-                )
+
+class FunctionDescriptor:
+    """Base class for symbolic descriptors of bounded functions on R.
+
+    Each subclass is a frozen dataclass whose fields are its JSON schema:
+    ``to_json`` writes ``kind`` and then every field in declaration order,
+    and ``descriptor_from_json`` reads them back, a field with a default
+    being optional.  Every ``float`` field must be finite.
+    """
+
+    kind: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _FLOAT and not np.isfinite(value):
+                raise ValueError(f"{type(self).__name__}.{f.name} must be finite, got {value!r}")
 
     def evaluate(self, x):
         """Evaluate at a float or an ndarray of floats.
@@ -123,18 +133,20 @@ class FunctionDescriptor:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        out = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_json() if isinstance(value, FunctionDescriptor) else value
+        return out
 
 
 @dataclass(frozen=True)
 class Tanh(FunctionDescriptor):
     """x -> tanh(a x + b)."""
 
+    kind = "tanh"
     a: float = 1.0
     b: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._require_finite("a", "b")
 
     def _raw(self, arr):
         # a x + b, then tanh, in one new array.  A phase that overflows to
@@ -150,19 +162,14 @@ class Tanh(FunctionDescriptor):
             return Interval(v, v)
         return Interval(-1.0, 1.0)
 
-    def to_json(self) -> dict:
-        return {"kind": "tanh", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class Cos(FunctionDescriptor):
     """x -> cos(a x + b)."""
 
+    kind = "cos"
     a: float = 1.0
     b: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._require_finite("a", "b")
 
     def _raw(self, arr):
         # Every step after a x works in place on one new array.  A phase
@@ -184,13 +191,12 @@ class Cos(FunctionDescriptor):
             return Interval(v, v)
         return Interval(-1.0, 1.0)
 
-    def to_json(self) -> dict:
-        return {"kind": "cos", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class StereoX(FunctionDescriptor):
     """x -> 2x / (1 + x^2), the first circle-embedding coordinate."""
+
+    kind = "stereo_x"
 
     def _raw(self, arr):
         ax = np.abs(arr)
@@ -205,13 +211,12 @@ class StereoX(FunctionDescriptor):
     def range_interval(self) -> Interval:
         return Interval(-1.0, 1.0)
 
-    def to_json(self) -> dict:
-        return {"kind": "stereo_x"}
-
 
 @dataclass(frozen=True)
 class StereoY(FunctionDescriptor):
     """x -> (x^2 - 1) / (1 + x^2), the second circle-embedding coordinate."""
+
+    kind = "stereo_y"
 
     def _raw(self, arr):
         # 1 - 2/(1 + x^2) is the same rational function without the
@@ -221,18 +226,13 @@ class StereoY(FunctionDescriptor):
     def range_interval(self) -> Interval:
         return Interval(-1.0, 1.0)
 
-    def to_json(self) -> dict:
-        return {"kind": "stereo_y"}
-
 
 @dataclass(frozen=True)
 class Const(FunctionDescriptor):
     """Constant function x -> c."""
 
-    c: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._require_finite("c")
+    kind = "const"
+    c: float
 
     def _raw(self, arr):
         return np.full(arr.shape, float(self.c))
@@ -240,14 +240,12 @@ class Const(FunctionDescriptor):
     def range_interval(self) -> Interval:
         return Interval(self.c, self.c)
 
-    def to_json(self) -> dict:
-        return {"kind": "const", "c": self.c}
-
 
 @dataclass(frozen=True)
 class Cheb(FunctionDescriptor):
     """x -> T_n(inner(x)) with T_n the degree-n Chebyshev polynomial."""
 
+    kind = "cheb"
     n: int
     inner: FunctionDescriptor
 
@@ -277,10 +275,10 @@ class Cheb(FunctionDescriptor):
     def _range_from_inner(self) -> Interval:
         inner_iv = self.inner.range_interval()
         lo, hi = inner_iv.lo, inner_iv.hi
-        candidates = [
-            float(chebyshev_recurrence(self.n, lo)),
-            float(chebyshev_recurrence(self.n, hi)),
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            candidates = [float(chebyshev_recurrence(self.n, t)) for t in (lo, hi)]
+        if not all(map(math.isfinite, candidates)):
+            raise ValueError(f"Chebyshev degree {self.n} overflows on the inner range [{lo}, {hi}]")
         # T_n'(t) = n U_{n-1}(t) vanishes exactly at cos(k pi / n), where
         # T_n alternates between +-1; those are the only interior extrema.
         for k in range(1, self.n):
@@ -289,20 +287,18 @@ class Cheb(FunctionDescriptor):
                 candidates.append(1.0 if k % 2 == 0 else -1.0)
         return Interval(min(candidates), max(candidates))
 
-    def to_json(self) -> dict:
-        return {"kind": "cheb", "n": self.n, "inner": self.inner.to_json()}
-
 
 @dataclass(frozen=True)
 class AffineImage(FunctionDescriptor):
     """x -> scale * inner(x) + shift."""
 
+    kind = "affine"
     inner: FunctionDescriptor
     scale: float = 1.0
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        self._require_finite("scale", "shift")
+        super().__post_init__()
         iv = self.range_interval()
         if not (math.isfinite(iv.lo) and math.isfinite(iv.hi)):
             raise ValueError(f"AffineImage range [{iv.lo}, {iv.hi}] is not finite")
@@ -315,14 +311,6 @@ class AffineImage(FunctionDescriptor):
         a = self.scale * iv.lo + self.shift
         b = self.scale * iv.hi + self.shift
         return Interval(min(a, b), max(a, b))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "affine",
-            "inner": self.inner.to_json(),
-            "scale": self.scale,
-            "shift": self.shift,
-        }
 
 
 def chebyshev_expand(n: int) -> Cheb:
@@ -415,11 +403,16 @@ def decode_json(text: str):
         raise ValueError("JSON nested too deeply to decode") from None
 
 
-def _field(obj: dict, key: str):
-    """A required descriptor field; a missing one is a ValueError."""
-    if key not in obj:
-        raise ValueError(f"{obj['kind']} descriptor needs {key!r}: {obj!r}")
-    return obj[key]
+def json_float(value, what: str) -> float:
+    """``float(value)``, with a value that is not a number or overflows a
+    float a ValueError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+_KINDS = {cls.kind: cls for cls in (Tanh, Cos, StereoX, StereoY, Const, Cheb, AffineImage)}
 
 
 def descriptor_from_json(obj: dict, depth: int = 1) -> FunctionDescriptor:
@@ -433,22 +426,19 @@ def descriptor_from_json(obj: dict, depth: int = 1) -> FunctionDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"not a descriptor object: {obj!r}")
     kind = obj["kind"]
-    if kind == "tanh":
-        return Tanh(float(obj.get("a", 1.0)), float(obj.get("b", 0.0)))
-    if kind == "cos":
-        return Cos(float(obj.get("a", 1.0)), float(obj.get("b", 0.0)))
-    if kind == "stereo_x":
-        return StereoX()
-    if kind == "stereo_y":
-        return StereoY()
-    if kind == "cheb":
-        return Cheb(_field(obj, "n"), descriptor_from_json(_field(obj, "inner"), depth + 1))
-    if kind == "const":
-        return Const(float(_field(obj, "c")))
-    if kind == "affine":
-        return AffineImage(
-            descriptor_from_json(_field(obj, "inner"), depth + 1),
-            float(obj.get("scale", 1.0)),
-            float(obj.get("shift", 0.0)),
-        )
-    raise ValueError(f"unknown descriptor kind: {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown descriptor kind: {kind!r}")
+    args = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            if f.default is MISSING:
+                raise ValueError(f"{kind} descriptor needs {f.name!r}: {obj!r}")
+            continue
+        value = obj[f.name]
+        if f.type in ("FunctionDescriptor", FunctionDescriptor):
+            value = descriptor_from_json(value, depth + 1)
+        elif f.type in _FLOAT:
+            value = json_float(value, f"{cls.__name__}.{f.name}")
+        args[f.name] = value
+    return cls(**args)

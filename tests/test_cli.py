@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from compactify.compactification import load_model
 from compactify.functions import MAX_CHEB_DEGREE, MAX_DESCRIPTOR_DEPTH, Cos, Tanh
 from compactify.ordering import Incomparable
 
+from descriptor_strategies import JUNK_VALUES, NUMBERS, descriptor_json
 from model_files import cptf1_body, encode_array, split_cptf2, write_cptf1, write_cptf1_body
 
 SMALL_FLAGS = [
@@ -411,6 +413,21 @@ def _nan_center(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _huge_center(h, image, labels):
+    h["clusters"][0]["center"][0] = 10**400
+    return _cptf2(h, image, labels)
+
+
+def _huge_param(h, image, labels):
+    h["params"]["grid_step"] = 10**400
+    return _cptf2(h, image, labels)
+
+
+def _huge_family_field(h, image, labels):
+    h["family"][1]["b"] = -(10**400)
+    return _cptf2(h, image, labels)
+
+
 BAD_CPTF2 = {
     "truncated header length": (lambda h, image, labels: b"CPTF2\n\x10\x00", "truncated header length"),
     "oversized header length": (
@@ -450,13 +467,16 @@ BAD_CPTF2 = {
     "NaN image point": (_image_float_set(5, math.nan), "image points are not all finite"),
     "infinite image point": (_image_float_set(0, -math.inf), "image points are not all finite"),
     "NaN center": (_nan_center, "cluster 0 center is not finite"),
+    "400-digit center": (_huge_center, "int too large to convert to float"),
+    "400-digit param": (_huge_param, "grid_step must be a number, got 1000"),
+    "400-digit family field": (_huge_family_field, "Cos.b must be a number, got -1000"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_CPTF2))
 def test_malformed_cptf2_file_is_a_usage_error(tmp_path, small_model_file, case, capsys):
     damage, message = BAD_CPTF2[case]
-    header, image, labels = split_cptf2(open(small_model_file, "rb").read())
+    header, image, labels = split_cptf2(Path(small_model_file).read_bytes())
     assert header["label_dtype"] == "<u1" and len(header["clusters"]) > 2
     bad = tmp_path / "bad.cptf"
     bad.write_bytes(damage(header, image, labels))
@@ -527,6 +547,29 @@ def test_damaged_model_bytes_end_in_a_known_exit(damage_dir, kind, where, bit, v
             _strict_json(report.read_text())
         if kind == "non-finite image":
             assert code == 2 and "image points are not all finite" in err.getvalue()
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+@given(obj=descriptor_json(NUMBERS, JUNK_VALUES, depth=2))  # degrees of at most 8, shallow
+def test_random_functions_end_in_a_known_exit(damage_dir, obj):
+    fn = damage_dir / "random.json"
+    fn.write_text(json.dumps(obj))
+    report = damage_dir / "random-report.json"
+    report.unlink(missing_ok=True)
+    argv = ["extend-check", "--model", str(damage_dir / "good.cptf"), "--function", str(fn)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--json-report", str(report)])
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not report.exists()
+    else:
+        assert err.getvalue() == ""
+        _strict_json(report.read_text())
 
 
 def test_cptf1_model_files_still_load(tmp_path, small_model_file, capsys):
@@ -651,7 +694,7 @@ def test_deeply_nested_descriptors_are_usage_errors(tmp_path, small_model_file, 
     fn.write_text(text)
     assert run(["extend-check", "--model", small_model_file, "--function", str(fn)]) == 2
     assert message in _one_line_error(capsys)
-    header, image, labels = split_cptf2(open(small_model_file, "rb").read())
+    header, image, labels = split_cptf2(Path(small_model_file).read_bytes())
     head = json.dumps({**header, "family": "FAMILY"}).replace('"FAMILY"', f"[{text}]").encode()
     bad = tmp_path / "bad.cptf"
     bad.write_bytes(b"CPTF2\n" + struct.pack("<Q", len(head)) + head + image + labels)
@@ -687,6 +730,18 @@ def test_an_affine_range_that_overflows_is_a_usage_error(tmp_path, small_model_f
         assert "AffineImage range [0.0, inf] is not finite" in _one_line_error(capsys)
         assert run(["extend-check", "--model", small_model_file, "--function", fn]) == 2
         assert "AffineImage range [0.0, inf] is not finite" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_a_chebyshev_range_that_overflows_is_a_usage_error(tmp_path, capsys):
+    inner = {"kind": "affine", "inner": {"kind": "tanh"}, "scale": 1e10}
+    fam = write_json(tmp_path / "family.json", [{"kind": "tanh"}, {"kind": "cheb", "n": 100, "inner": inner}])
+    out = tmp_path / "m.cptf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["build", "--family", fam, "--out", str(out), *SMALL_FLAGS]) == 2
+    err = _one_line_error(capsys)
+    assert "Chebyshev degree 100 overflows on the inner range [-10000000000.0, 10000000000.0]" in err
     assert not out.exists()
 
 

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from compactify.functions import (
     MAX_CHEB_DEGREE,
+    MAX_DESCRIPTOR_DEPTH,
     AffineImage,
     Cheb,
     Const,
     Cos,
+    FunctionDescriptor,
     FunctionFamily,
     Interval,
     StereoX,
@@ -22,6 +29,8 @@ from compactify.functions import (
     chebyshev_recurrence,
     descriptor_from_json,
 )
+
+from descriptor_strategies import JUNK, NUMBERS, descriptor_json, nest
 
 ALL_KINDS = [
     Tanh(),
@@ -393,3 +402,70 @@ def test_cheb_range_is_computed_once_and_equals_the_loop(inner, monkeypatch):
 def test_cheb_rejects_a_non_descriptor_inner():
     with pytest.raises(TypeError, match="not a function descriptor"):
         Cheb(2, "cos")
+
+
+@pytest.mark.parametrize(
+    "inner, ends",
+    [(AffineImage(Tanh(), 1e10), "-10000000000.0, 10000000000.0"), (AffineImage(Tanh(), 5e9, 5e9), "0.0, 10000000000.0")],
+)
+def test_a_chebyshev_range_that_overflows_is_refused(inner, ends):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"Chebyshev degree 100 overflows on the inner range [{ends}]")):
+            Cheb(100, inner)
+        assert Cheb(3, AffineImage(Tanh(), 1e100)).range_interval() == Interval(-4e300, 4e300)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "tanh", "a": None}, "Tanh.a must be a number, got None"),
+        ({"kind": "cos", "b": [1.0]}, "Cos.b must be a number, got [1.0]"),
+        ({"kind": "const", "c": {"x": 1}}, "Const.c must be a number, got {'x': 1}"),
+        ({"kind": "affine", "inner": {"kind": "tanh"}, "scale": 10**400}, "AffineImage.scale must be a number, got 1000"),
+        ({"kind": "tanh", "b": -(10**400)}, "Tanh.b must be a number, got -1000"),
+        ({"kind": ["tanh"]}, "unknown descriptor kind: ['tanh']"),
+        ({"kind": {"kind": "tanh"}}, "unknown descriptor kind: {'kind': 'tanh'}"),
+    ],
+)
+def test_fields_that_are_not_numbers_are_value_errors(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        descriptor_from_json(obj)
+
+
+def test_the_finite_check_reads_float_annotations_as_types_too():
+    scaled = dataclasses.make_dataclass("Scaled", [("s", float)], bases=(FunctionDescriptor,), frozen=True)
+    assert dataclasses.fields(scaled)[0].type is float
+    with pytest.raises(ValueError, match="Scaled.s must be finite, got nan"):
+        scaled(math.nan)
+
+
+def test_const_needs_its_value():
+    with pytest.raises(TypeError):
+        Const()
+
+
+# Shallow objects, and a third wrapped to about MAX_DESCRIPTOR_DEPTH.
+DESCRIPTOR_JSON = st.one_of(
+    descriptor_json(NUMBERS, JUNK, depth=3),
+    descriptor_json(NUMBERS, JUNK, depth=3),
+    st.builds(
+        nest,
+        descriptor_json(NUMBERS, JUNK, depth=1),
+        st.integers(MAX_DESCRIPTOR_DEPTH - 2, MAX_DESCRIPTOR_DEPTH + 2),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+@given(obj=DESCRIPTOR_JSON)
+def test_random_descriptor_json_parses_or_is_a_value_error(obj):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            d = descriptor_from_json(obj)
+        except ValueError:
+            return
+    assert isinstance(d, FunctionDescriptor)
+    assert descriptor_from_json(d.to_json()) == d
+    json.dumps(d.to_json(), allow_nan=False)

@@ -107,6 +107,12 @@ def _move_first_witness(model):
     return _with_cluster(model, 1, witnesses=np.concatenate([b.witnesses, a.witnesses[:1]]))
 
 
+def _image_point_set(model, value):
+    points = model.image_points.copy()
+    points[3, 1] = value
+    return dataclasses.replace(model, image_points=points)
+
+
 UNENCODABLE = {
     "a witness dropped": (
         lambda m: _with_cluster(m, 0, witnesses=m.remainder[0].witnesses[1:]),
@@ -149,6 +155,14 @@ UNENCODABLE = {
         lambda m: _with_cluster(m, 0, side="both"),
         "has side 'both'",
     ),
+    "a NaN image point": (
+        lambda m: _image_point_set(m, math.nan),
+        "image points are not all finite",
+    ),
+    "an infinite center": (
+        lambda m: _with_cluster(m, 1, center=np.full(m.dim, math.inf)),
+        "cluster 1 center is not finite",
+    ),
 }
 
 
@@ -170,17 +184,19 @@ def test_an_oversized_header_length_is_refused_before_reading(small_gamma, tmp_p
         load_model(bad)
 
 
-def _image_point_set(model, value):
-    points = model.image_points.copy()
-    points[3, 1] = value
-    return dataclasses.replace(model, image_points=points)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("writer", [save_model, write_cptf1])
 def test_non_finite_image_points_are_refused(small_gamma, tmp_path, writer, value):
     path = tmp_path / "m.cptf"
-    writer(_image_point_set(small_gamma, value), path)
+    if writer is save_model:
+        # save_model refuses such a model, so the float is set in a good file.
+        save_model(small_gamma, path)
+        blob = path.read_bytes()
+        _, image, labels = split_cptf2(blob)
+        at = len(blob) - len(image) - len(labels) + 8 * (3 * small_gamma.dim + 1)
+        path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8 :])
+    else:
+        writer(_image_point_set(small_gamma, value), path)
     with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file: image points are not all finite")):
         load_model(path)
 
