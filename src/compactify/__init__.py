@@ -25,7 +25,6 @@ from .functions import (
 )
 from .product_space import (
     ProductPoint,
-    cap_metric,
     check_ball_cylinder_inclusions,
     product_distance,
     tail_bound,
@@ -44,7 +43,6 @@ from .extension import (
     ExtensionReport,
     Verdict,
     check_extendability,
-    derived_extension,
     extend_by_projection,
 )
 from .ordering import (
@@ -64,7 +62,6 @@ from .inverse_limit import (
     chain_limit,
     lift_point,
     make_thread_from_parameter,
-    verify_closedness_sample,
 )
 
 __all__ = [
@@ -82,7 +79,6 @@ __all__ = [
     "chebyshev_expand",
     "descriptor_from_json",
     "ProductPoint",
-    "cap_metric",
     "check_ball_cylinder_inclusions",
     "product_distance",
     "tail_bound",
@@ -97,7 +93,6 @@ __all__ = [
     "ExtensionReport",
     "Verdict",
     "check_extendability",
-    "derived_extension",
     "extend_by_projection",
     "ChebOfCoordinate",
     "ComparisonWitness",
@@ -113,5 +108,4 @@ __all__ = [
     "chain_limit",
     "lift_point",
     "make_thread_from_parameter",
-    "verify_closedness_sample",
 ]

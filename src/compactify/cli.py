@@ -98,6 +98,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json-report", default=None, metavar="PATH")
 
 
+def _comma_list(text: str, convert) -> tuple:
+    """The converted values of a comma-separated flag; () when it is empty,
+    so that the empty list reaches the check that refuses it."""
+    return tuple(convert(v) for v in text.split(",")) if text else ()
+
+
 def _load_descriptor(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return descriptor_from_json(decode_json(fh.read()))
@@ -142,8 +148,8 @@ def _cmd_extend_check(args) -> tuple[int, dict, dict]:
     model = load_model(args.model)
     f = _load_descriptor(args.function)
     deltas = DEFAULT_DELTAS
-    if args.deltas:
-        deltas = tuple(float(v) for v in args.deltas.split(","))
+    if args.deltas is not None:
+        deltas = _comma_list(args.deltas, float)
     config = {
         "model": str(args.model),
         "function": f.to_json(),
@@ -256,11 +262,11 @@ def _cmd_chain_demo(args) -> tuple[int, dict, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict, dict]:
     ids = None
-    if args.criteria:
-        ids = tuple(int(v) for v in args.criteria.split(","))
+    if args.criteria is not None:
+        ids = _comma_list(args.criteria, int)
     body = verify_report_body(args.seed, ids)
     config = {
-        "all": bool(args.all or not args.criteria),
+        "all": bool(args.all or ids is None),
         # In the order they ran, which is table order.
         "criteria": [r["id"] for r in body["criteria"]],
     }

@@ -8,7 +8,6 @@ reaches.
 """
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -40,7 +39,6 @@ __all__ = [
     "Membership",
     "build_compactification",
     "closure_membership",
-    "remainder_separation",
     "greedy_cluster",
     "save_model",
     "load_model",
@@ -48,8 +46,6 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"CPTF2\n"
-# The first model format, a JSON body with base64 arrays; still read.
-_CPTF1_MAGIC = b"CPTF1\n"
 # CPTF2 header length, right after the magic: little-endian uint64.
 _HEADER_LEN = struct.Struct("<Q")
 # CPTF2 witness-label dtypes, smallest first; a file uses the smallest
@@ -402,19 +398,6 @@ def closure_membership(
     return Membership("outside", min(dist, nearest_center))
 
 
-def remainder_separation(model: CompactificationModel) -> float:
-    """Smallest distance from any remainder center to the image cloud.
-
-    Diagnostic only.  For families with a saturating coordinate this can
-    be 0 at wide parameter windows (tanh is exactly 1.0 in float64 beyond
-    |x| of about 19), so it is not enforced as a build invariant; at
-    narrow windows it measures how clearly the remainder stands off the
-    sampled arc.
-    """
-    boxed = model.image_boxes
-    return min((nearest_in_cloud(c.center, boxed)[1] for c in model.remainder), default=np.inf)
-
-
 def _label_dtype(k: int) -> str:
     """The smallest label dtype that holds the labels 0..k-1."""
     return next(d for d in _LABEL_DTYPES if k <= np.iinfo(d).max + 1)
@@ -497,7 +480,7 @@ def save_model(model: CompactificationModel, path) -> None:
 
 
 def load_model(path) -> CompactificationModel:
-    """Read a model file written by :func:`save_model`, or an older CPTF1 one.
+    """Read a model file written by :func:`save_model`.
 
     A file that is not a model, or is truncated, over-long or inconsistent
     with its own header, raises one ValueError naming the file.  Every size
@@ -506,11 +489,9 @@ def load_model(path) -> CompactificationModel:
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
-        if magic not in (MODEL_MAGIC, _CPTF1_MAGIC):
-            raise ValueError(f"{path}: not a model file (bad magic)")
+        if magic != MODEL_MAGIC:
+            raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
         try:
-            if magic == _CPTF1_MAGIC:
-                return _model_from_json(decode_json(fh.read().decode("utf-8")))
             return _read_cptf2(fh)
         except KeyError as exc:
             raise ValueError(f"{path}: malformed model file: missing field {exc}") from exc
@@ -569,7 +550,10 @@ def _read_cptf2(fh) -> CompactificationModel:
     labels = np.empty(tails, dtype=dtype)
     _read_into(fh, image_points, "image section")
     _read_into(fh, labels, "label section")
-    _check_finite_image(image_points)
+    # A NaN compares false with every tolerance, so it would pass any
+    # check it reached.
+    if not np.isfinite(image_points).all():
+        raise ValueError("image points are not all finite")
 
     if int(labels.max()) >= k:
         raise ValueError(f"label {int(labels.max())} is not below the cluster count {k}")
@@ -586,21 +570,12 @@ def _read_cptf2(fh) -> CompactificationModel:
     )
 
 
-def _check_finite_image(image_points: np.ndarray) -> None:
-    """A model file's image points must be finite: a NaN compares false
-    with every tolerance, so it would pass any check it reached."""
-    if not np.isfinite(image_points).all():
-        raise ValueError("image points are not all finite")
-
-
 def _checked_cluster(cid: int, c: dict, witnesses: np.ndarray, dim: int) -> RemainderCluster:
-    """Cluster ``cid`` of a model file from its entry ``c``, once its
-    witnesses are a non-empty list, its side agrees with them and its
-    center has ``dim`` finite coordinates."""
+    """Cluster ``cid`` of a model file from its header entry ``c``, once it
+    has witnesses, its side agrees with them and its center has ``dim``
+    finite coordinates."""
     if witnesses.size == 0:
         raise ValueError(f"cluster {cid} has no witnesses")
-    if witnesses.ndim != 1:
-        raise ValueError(f"cluster {cid} witnesses of shape {witnesses.shape} are not a list")
     if c["side"] != _cluster_side(witnesses):
         raise ValueError(f"cluster {cid} side {c['side']!r} disagrees with its witnesses")
     center = np.asarray(c["center"], dtype=np.float64)
@@ -609,36 +584,6 @@ def _checked_cluster(cid: int, c: dict, witnesses: np.ndarray, dim: int) -> Rema
     if not np.isfinite(center).all():
         raise ValueError(f"cluster {cid} center is not finite")
     return RemainderCluster(cid, center, c["side"], witnesses)
-
-
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
-
-
-def _model_from_json(body: dict) -> CompactificationModel:
-    family = FunctionFamily.from_json(body["family"])
-    if not isinstance(body["remainder"], list):
-        raise TypeError(f"remainder must be a list, not {type(body['remainder']).__name__}")
-    image_params = _decode_array(body["image_params"])
-    image_points = _decode_array(body["image_points"])
-    shape = (image_params.size, len(family))
-    if image_params.ndim != 1 or image_points.shape != shape:
-        raise ValueError(
-            f"image points of shape {image_points.shape} do not match "
-            f"{image_params.shape} image parameters in {len(family)} coordinates"
-        )
-    _check_finite_image(image_points)
-    return CompactificationModel(
-        embedding=EmbeddingMap(family),
-        params=BuildParams.from_json(body["params"]),
-        image_params=image_params,
-        image_points=image_points,
-        remainder=tuple(
-            _checked_cluster(int(c["cluster_id"]), c, _decode_array(c["witnesses"]), len(family))
-            for c in body["remainder"]
-        ),
-    )
 
 
 def write_remainder_csv(model: CompactificationModel, path) -> None:

@@ -9,6 +9,7 @@ stays macroscopic (no continuous extension can exist).
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -16,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .compactification import CompactificationModel
-from .functions import Cos, FunctionDescriptor, chebyshev_recurrence
+from .functions import FunctionDescriptor
 from .product_space import ProductPoint, distances_to_cloud
 
 __all__ = [
@@ -29,9 +30,7 @@ __all__ = [
     "ExtensionReport",
     "InsufficientWitnessesError",
     "ProjectionExtension",
-    "ChebyshevExtension",
     "extend_by_projection",
-    "derived_extension",
     "check_extendability",
 ]
 
@@ -70,42 +69,11 @@ class ProjectionExtension:
         return arr[..., self.coordinate]
 
 
-@dataclass(frozen=True)
-class ChebyshevExtension:
-    """Extension of the degree-n harmonic: T_n of the base cos coordinate."""
-
-    coordinate: int
-    degree: int
-
-    def __call__(self, p):
-        if isinstance(p, ProductPoint):
-            return float(
-                np.clip(chebyshev_recurrence(self.degree, p.coords[self.coordinate]), -1.0, 1.0)
-            )
-        arr = np.asarray(p, dtype=np.float64)
-        return np.clip(chebyshev_recurrence(self.degree, arr[..., self.coordinate]), -1.0, 1.0)
-
-
 def extend_by_projection(model: CompactificationModel, n: int) -> ProjectionExtension:
     """Extension handle for family member n: coordinate projection."""
     if not (0 <= n < model.dim):
         raise IndexError(f"coordinate {n} out of range for a {model.dim}-coordinate model")
     return ProjectionExtension(n)
-
-
-def derived_extension(model: CompactificationModel, n: int) -> ChebyshevExtension:
-    """Extension of cos(n x) through the base cosine coordinate.
-
-    Uses the identity cos(n x) = T_n(cos x): the closure already carries
-    cos as a coordinate, so the degree-n harmonic extends as T_n of that
-    coordinate.  With n = 1 this is the plain projection in disguise.
-    """
-    if n < 1:
-        raise ValueError("harmonic degree must be >= 1")
-    for j, f in enumerate(model.family):
-        if isinstance(f, Cos) and f.a == 1.0 and f.b == 0.0:
-            return ChebyshevExtension(coordinate=j, degree=n)
-    raise ValueError("family has no cos(x) coordinate to derive harmonics from")
 
 
 @dataclass(frozen=True)
@@ -161,8 +129,8 @@ def _validate_deltas(deltas) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValueError("need at least one probe radius")
-    if not all(d > 0 for d in deltas):  # NaN fails too
-        raise ValueError("probe radii must be positive")
+    if not all(0 < d < math.inf for d in deltas):  # NaN fails too
+        raise ValueError("probe radii must be positive and finite")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("probe radii must be strictly decreasing")
     return deltas

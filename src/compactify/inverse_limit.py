@@ -29,7 +29,6 @@ from .product_space import (
 )
 
 __all__ = [
-    "THREAD_TOL",
     "InverseSystem",
     "Thread",
     "LiftError",
@@ -38,11 +37,7 @@ __all__ = [
     "make_thread_from_parameter",
     "lift_point",
     "chain_limit",
-    "ClosednessReport",
-    "verify_closedness_sample",
 ]
-
-THREAD_TOL = 1e-9
 
 
 class LiftError(RuntimeError):
@@ -228,39 +223,3 @@ def chain_limit(system: InverseSystem) -> CompactificationModel:
     if len(descriptors) == len(deepest.family):
         return deepest
     return build_compactification(FunctionFamily(tuple(descriptors)), deepest.params)
-
-
-@dataclass(frozen=True)
-class ClosednessReport:
-    """Which candidate threads satisfied every bond equation."""
-
-    members: tuple[bool, ...]
-    residuals: tuple[tuple[float, ...], ...]
-    tol: float
-
-    @property
-    def all_members(self) -> bool:
-        return all(self.members)
-
-
-def verify_closedness_sample(
-    system: InverseSystem,
-    candidates: Sequence[Sequence[ProductPoint]],
-    tol: float = THREAD_TOL,
-) -> ClosednessReport:
-    """Test candidate per-level tuples for membership in the limit.
-
-    The limit is cut out of the product of the levels by the bond
-    equations; a candidate belongs exactly when every consecutive pair
-    agrees through its bond within ``tol``.
-    """
-    members = []
-    residuals = []
-    for cand in candidates:
-        thread = Thread(tuple(cand))
-        res = tuple(thread_residuals(system, thread))
-        residuals.append(res)
-        members.append(all(r <= tol for r in res))
-    return ClosednessReport(
-        members=tuple(members), residuals=tuple(residuals), tol=tol
-    )

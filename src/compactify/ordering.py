@@ -28,7 +28,6 @@ __all__ = [
     "DominationError",
     "compare",
     "apply_witness",
-    "compose_mappings",
     "enlarge",
     "equivalence_check",
 ]
@@ -202,25 +201,6 @@ def compare(
             )
         mapping.append(m)
     return _witness_from_mapping(larger, smaller, tuple(mapping))
-
-
-def compose_mappings(
-    outer: tuple[CoordinateMap, ...], inner: tuple[CoordinateMap, ...]
-) -> tuple[CoordinateMap, ...]:
-    """Mapping for A -> C given B -> C (outer) and A -> B (inner).
-
-    Chebyshev stages multiply: T_m after T_k is T_{mk}.
-    """
-    out: list[CoordinateMap] = []
-    for m in outer:
-        src = inner[m.source]
-        if isinstance(m, CopyCoordinate):
-            out.append(src)
-        elif isinstance(src, CopyCoordinate):
-            out.append(ChebOfCoordinate(m.degree, src.source))
-        else:
-            out.append(ChebOfCoordinate(m.degree * src.degree, src.source))
-    return tuple(out)
 
 
 class DominationError(RuntimeError):

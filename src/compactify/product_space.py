@@ -18,8 +18,6 @@ from .functions import Interval
 __all__ = [
     "Interval",
     "ProductPoint",
-    "coordinate_weights",
-    "cap_metric",
     "capped_distance",
     "product_distance",
     "distances_to_cloud",
@@ -32,15 +30,9 @@ __all__ = [
     "InclusionReport",
     "check_ball_cylinder_inclusions",
     "write_point_cloud_csv",
-    "read_point_cloud_csv",
 ]
 
 Space = tuple[Interval, ...]
-
-
-def coordinate_weights(n: int) -> np.ndarray:
-    """Weights 1, 1/2, 1/4, ... for the first n coordinates."""
-    return 0.5 ** np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -76,11 +68,6 @@ class ProductPoint:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=np.float64)
-
-
-def cap_metric(u: float, v: float) -> float:
-    """min{1, |u - v|}, the capped distance used on each factor."""
-    return min(1.0, abs(u - v))
 
 
 def _require_same_space(x: ProductPoint, y: ProductPoint) -> None:
@@ -244,9 +231,10 @@ class InclusionReport:
 
 def _truncation_depth(r: float) -> int:
     # Smallest k with 2^(1-k) < r/2: beyond coordinate k the whole tail
-    # weighs less than half of r.
+    # weighs less than half of r.  Compared with r rather than r/2, which
+    # rounds the least subnormal radius to 0.0 and would never stop the loop.
     k = 1
-    while 2.0 ** (1 - k) >= r / 2.0:
+    while 2.0 ** (2 - k) >= r:
         k += 1
     return k
 
@@ -306,11 +294,3 @@ def write_point_cloud_csv(path, points: np.ndarray, header: Sequence[str] | None
         for row in arr:
             writer.writerow([f"{v:.17g}" for v in row])
 
-
-def read_point_cloud_csv(path) -> np.ndarray:
-    """Read a point cloud written by :func:`write_point_cloud_csv`."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return np.asarray(rows, dtype=np.float64)

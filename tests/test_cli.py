@@ -8,7 +8,6 @@ import struct
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,7 @@ from compactify.functions import MAX_CHEB_DEGREE, MAX_DESCRIPTOR_DEPTH, Cos, Tan
 from compactify.ordering import Incomparable
 
 from descriptor_strategies import JUNK_VALUES, NUMBERS, descriptor_json
-from model_files import cptf1_body, encode_array, split_cptf2, write_cptf1, write_cptf1_body
+from model_files import split_cptf2
 
 SMALL_FLAGS = [
     "--r-image", "5", "--r-tail-lo", "5", "--r-tail-hi", "200", "--grid-step", "0.05",
@@ -289,81 +288,6 @@ def test_build_rejects_cheb_without_degree(tmp_path, capsys):
     assert "cheb descriptor needs 'n'" in _one_line_error(capsys)
 
 
-def _drop_remainder(body):
-    del body["remainder"]
-
-
-def _remainder_not_a_list(body):
-    body["remainder"] = {str(c["cluster_id"]): c for c in body["remainder"]}
-
-
-def _cluster_without_witnesses(body):
-    del body["remainder"][-1]["witnesses"]
-
-
-def _short_center(body):
-    body["remainder"][0]["center"].pop()
-
-
-def _image_row_missing(body):
-    rows, dim = body["image_points"]["shape"]
-    body["image_points"] = encode_array(np.zeros((rows - 1, dim)))
-
-
-def _empty_witnesses(body):
-    body["remainder"][-1]["witnesses"] = encode_array(np.empty(0))
-
-
-def _witnesses_as_a_column(body):
-    w = body["remainder"][0]["witnesses"]
-    w["shape"] = [w["shape"][0], 1]
-
-
-def _flip_side(body):
-    c = body["remainder"][0]
-    c["side"] = "-inf" if c["side"] == "+inf" else "+inf"
-
-
-def _nan_image_point(body):
-    rows, dim = body["image_points"]["shape"]
-    points = np.zeros((rows, dim))
-    points[rows // 2, 0] = math.nan
-    body["image_points"] = encode_array(points)
-
-
-def _infinite_center(body):
-    body["remainder"][1]["center"][1] = math.inf
-
-
-@pytest.mark.parametrize(
-    "damage,message",
-    [
-        (_drop_remainder, "missing field 'remainder'"),
-        (_remainder_not_a_list, "remainder must be a list"),
-        (_cluster_without_witnesses, "missing field 'witnesses'"),
-        (_short_center, "center has 1 coordinates, not 2"),
-        (_image_row_missing, "image points of shape"),
-        (_empty_witnesses, "has no witnesses"),
-        (_witnesses_as_a_column, "are not a list"),
-        (_flip_side, "disagrees with its witnesses"),
-        (_nan_image_point, "image points are not all finite"),
-        (_infinite_center, "cluster 1 center is not finite"),
-    ],
-)
-def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, damage, message, capsys):
-    body = cptf1_body(load_model(small_model_file))
-    damage(body)
-    bad = tmp_path / "bad.cptf"
-    write_cptf1_body(body, bad)
-    capsys.readouterr()
-    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
-    assert run(["extend-check", "--model", str(bad), "--function", fn]) == 2
-    err = _one_line_error(capsys)
-    assert str(bad) in err and message in err
-    assert run(["remainder", "--model", str(bad)]) == 2
-    assert message in _one_line_error(capsys)
-
-
 def _cptf2(header: dict, image: bytes, labels: bytes, header_len: int | None = None) -> bytes:
     text = json.dumps(header).encode()
     length = len(text) if header_len is None else header_len
@@ -413,6 +337,16 @@ def _nan_center(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _infinite_center(h, image, labels):
+    h["clusters"][1]["center"][1] = math.inf  # written as Infinity
+    return _cptf2(h, image, labels)
+
+
+def _without_clusters(h, image, labels):
+    del h["clusters"]
+    return _cptf2(h, image, labels)
+
+
 def _huge_center(h, image, labels):
     h["clusters"][0]["center"][0] = 10**400
     return _cptf2(h, image, labels)
@@ -429,6 +363,7 @@ def _huge_family_field(h, image, labels):
 
 
 BAD_CPTF2 = {
+    "CPTF1 file": (lambda h, image, labels: b"CPTF1\n{}", "bad magic b'CPTF1\\n'"),
     "truncated header length": (lambda h, image, labels: b"CPTF2\n\x10\x00", "truncated header length"),
     "oversized header length": (
         lambda h, image, labels: _cptf2(h, image, labels, header_len=2**40),
@@ -454,6 +389,8 @@ BAD_CPTF2 = {
         lambda h, image, labels: _cptf2(h, image, labels + b"\x00"),
         "label section holds",
     ),
+    "missing header field": (_without_clusters, "missing field 'clusters'"),
+    "clusters not a list": (_with("clusters", {}), "clusters must be a list, not dict"),
     "wrong label count": (_with("label_dtype", "<u2"), "label section holds"),
     "unknown label dtype": (_with("label_dtype", "<f8"), "unknown label dtype '<f8'"),
     "label at the cluster count": (
@@ -467,6 +404,7 @@ BAD_CPTF2 = {
     "NaN image point": (_image_float_set(5, math.nan), "image points are not all finite"),
     "infinite image point": (_image_float_set(0, -math.inf), "image points are not all finite"),
     "NaN center": (_nan_center, "cluster 0 center is not finite"),
+    "infinite center": (_infinite_center, "cluster 1 center is not finite"),
     "400-digit center": (_huge_center, "int too large to convert to float"),
     "400-digit param": (_huge_param, "grid_step must be a number, got 1000"),
     "400-digit family field": (_huge_family_field, "Cos.b must be a number, got -1000"),
@@ -492,6 +430,81 @@ def test_malformed_cptf2_file_is_a_usage_error(tmp_path, small_model_file, case,
         assert f"error: {bad}: " in err and message in err
 
 
+def _drop_remainder(h, image, labels):
+    del h["clusters"]
+    return _cptf2(h, image, b"")
+
+
+def _cluster_without_a_center(h, image, labels):
+    del h["clusters"][-1]["center"]
+    return _cptf2(h, image, labels)
+
+
+def _first_cluster_emptied(h, image, labels):
+    return _cptf2(h, image, labels.replace(b"\x00", b"\x01"))
+
+
+def _flip_side(h, image, labels):
+    c = h["clusters"][0]
+    c["side"] = "-inf" if c["side"] == "+inf" else "+inf"
+    return _cptf2(h, image, labels)
+
+
+def _image_row_missing(h, image, labels):
+    rows, dim = h["image_shape"]
+    return _cptf2({**h, "image_shape": [rows - 1, dim]}, image[: -8 * dim], labels)
+
+
+def _nan_image_point(h, image, labels):
+    rows, dim = h["image_shape"]
+    return _image_float_set((rows // 2) * dim, math.nan)(h, image, labels)
+
+
+def _short_center(h, image, labels):
+    h["clusters"][0]["center"].pop()
+    return _cptf2(h, image, labels)
+
+
+# Damage to the model body: the remainder clusters and the image points.
+# The case ids are the ones these cases had when the body was the JSON of
+# the retired CPTF1 format; each now damages the same part of a CPTF2 file
+# and expects the message the CPTF2 reader gives.
+BAD_MODEL_BODY = {
+    "_drop_remainder-missing field 'remainder'": (_drop_remainder, "missing field 'clusters'"),
+    "_cluster_without_witnesses-missing field 'witnesses'": (
+        _cluster_without_a_center,
+        "missing field 'center'",
+    ),
+    "_empty_witnesses-has no witnesses": (_first_cluster_emptied, "cluster 0 has no witnesses"),
+    "_flip_side-disagrees with its witnesses": (_flip_side, "disagrees with its witnesses"),
+    "_image_row_missing-image points of shape": (_image_row_missing, "does not match the grid"),
+    "_nan_image_point-image points are not all finite": (
+        _nan_image_point,
+        "image points are not all finite",
+    ),
+    "_short_center-center has 1 coordinates, not 2": (
+        _short_center,
+        "cluster 0 center has 1 coordinates, not 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODEL_BODY))
+def test_malformed_model_body_is_a_usage_error(tmp_path, small_model_file, case, capsys):
+    damage, message = BAD_MODEL_BODY[case]
+    header, image, labels = split_cptf2(Path(small_model_file).read_bytes())
+    assert header["label_dtype"] == "<u1" and header["image_shape"][1] == 2
+    bad = tmp_path / "bad.cptf"
+    bad.write_bytes(damage(header, image, labels))
+    capsys.readouterr()
+    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
+    assert run(["extend-check", "--model", str(bad), "--function", fn]) == 2
+    err = _one_line_error(capsys)
+    assert str(bad) in err and message in err
+    assert run(["remainder", "--model", str(bad)]) == 2
+    assert message in _one_line_error(capsys)
+
+
 @pytest.fixture(scope="module")
 def damage_dir(tmp_path_factory):
     """A directory holding a SMALL tanh+cos CPTF2 file and a probe function."""
@@ -508,6 +521,29 @@ def _strict_json(text: str):
         raise ValueError(f"{constant} is not strict JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def _known_exit(argv: list[str], report: Path) -> tuple[int, str]:
+    """Run one command in process, warnings as errors, and check that it
+    ends in a known exit: 2 with one stderr line and no report, or 0, 3 or
+    4 with no stderr and a strict-JSON report.  Returns the code and stderr."""
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--json-report", str(report)])
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # The report encoder's refusal: a result held a non-finite value.
+        assert "not JSON compliant" not in err
+        assert not report.exists()
+    else:
+        assert err == ""
+        _strict_json(report.read_text())
+    return code, err
 
 
 @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
@@ -530,23 +566,13 @@ def test_damaged_model_bytes_end_in_a_known_exit(damage_dir, kind, where, bit, v
         blob = blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1 :]
     bad = damage_dir / "bad.cptf"
     bad.write_bytes(blob)
-    report = damage_dir / "report.json"
     for argv in (["remainder", "--model", str(bad)],
                  ["extend-check", "--model", str(bad), "--function", str(damage_dir / "f.json")]):
-        report.unlink(missing_ok=True)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run([*argv, "--json-report", str(report)])
-        assert code in (0, 2, 3, 4)
+        code, err = _known_exit(argv, damage_dir / "report.json")
         if code == 2:
-            assert err.getvalue().startswith(f"error: {bad}: ")
-            assert err.getvalue().count("\n") == 1
-            assert not report.exists()
-        else:
-            assert err.getvalue() == ""
-            _strict_json(report.read_text())
+            assert err.startswith(f"error: {bad}: ")
         if kind == "non-finite image":
-            assert code == 2 and "image points are not all finite" in err.getvalue()
+            assert code == 2 and "image points are not all finite" in err
 
 
 @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
@@ -554,32 +580,48 @@ def test_damaged_model_bytes_end_in_a_known_exit(damage_dir, kind, where, bit, v
 def test_random_functions_end_in_a_known_exit(damage_dir, obj):
     fn = damage_dir / "random.json"
     fn.write_text(json.dumps(obj))
-    report = damage_dir / "random-report.json"
-    report.unlink(missing_ok=True)
     argv = ["extend-check", "--model", str(damage_dir / "good.cptf"), "--function", str(fn)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run([*argv, "--json-report", str(report)])
-    assert code in (0, 2, 3, 4)
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
-        assert not report.exists()
-    else:
-        assert err.getvalue() == ""
-        _strict_json(report.read_text())
+    _known_exit(argv, damage_dir / "random-report.json")
 
 
-def test_cptf1_model_files_still_load(tmp_path, small_model_file, capsys):
-    old = tmp_path / "old.cptf"
-    write_cptf1(load_model(small_model_file), old)
-    capsys.readouterr()
-    assert run(["remainder", "--model", small_model_file]) == 0
-    new = json.loads(capsys.readouterr().out)
-    assert run(["remainder", "--model", str(old)]) == 0
-    assert json.loads(capsys.readouterr().out)["result"] == new["result"]
+def _comma_joined(fields):
+    return st.lists(fields, max_size=5).map(",".join)
+
+
+# Flag values for --deltas: valid, non-finite, negative, out of order, junk.
+_RADII = st.sampled_from(
+    ["0.2", "0.1", "0.05", "0.01", "1e-3", "2", "0", "-0.1", "nan", "inf", "-inf", "1e400", ""]
+) | st.text("0123456789.e-+naif x", max_size=6)
+# Criterion ids: 1-3, which build no model, unknown ones, and junk without
+# digits, so that no field can name criteria 4-10.
+_CRITERIA = st.sampled_from(["1", "2", "3", "0", "11", "99", "-1", ""]) | st.text("abx-+. _", max_size=4)
+_DIMS = st.integers(-2, 8) | st.sampled_from([cli.MAX_METRIC_DIMS + 1, 10**6])
+_PAIRS = st.integers(-2, 200) | st.sampled_from([cli.MAX_METRIC_VALUES + 1, 10**12])
+_R = st.floats() | st.sampled_from([0.0, -0.3, math.inf, math.nan, 5e-324, 1e300])
+
+
+@settings(max_examples=120, deadline=2000, derandomize=True, database=None)
+@given(
+    argv=st.one_of(
+        _comma_joined(_RADII).map(lambda d: ["extend-check", f"--deltas={d}"]),
+        _comma_joined(_CRITERIA).map(lambda c: ["verify", f"--criteria={c}"]),
+        st.builds(
+            lambda dims, pairs, r: ["metric-check", f"--dims={dims}", f"--pairs={pairs}", f"--r={r!r}"],
+            _DIMS, _PAIRS, _R,
+        ),
+    )
+)
+def test_random_flag_values_end_in_a_known_exit(damage_dir, argv):
+    report = damage_dir / "flags-report.json"
+    if argv[0] != "extend-check":
+        _known_exit(argv, report)
+        return
+    flag = argv[1].removeprefix("--deltas=")
+    argv = [*argv, "--model", str(damage_dir / "good.cptf"), "--function", str(damage_dir / "f.json")]
+    if _known_exit(argv, report)[0] != 2:
+        # A radius list that ran is the one given, never the default.
+        expected = [float(v) for v in flag.split(",")] if flag else []
+        assert _strict_json(report.read_text())["config"]["deltas"] == expected
 
 
 def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):
@@ -588,9 +630,17 @@ def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):
     argv = ["extend-check", "--model", small_model_file, "--function", fn]
     assert run([*argv, "--deltas", "0.2,nan,0.01"]) == 2
     assert "probe radii must be positive" in _one_line_error(capsys)
+    # An infinite radius is refused before the check runs, not by the
+    # report encoder after it.
+    for deltas in ("1e400", "0.2,inf,0.01"):
+        assert run([*argv, "--deltas", deltas]) == 2
+        assert "probe radii must be positive and finite" in _one_line_error(capsys)
+    # An empty list is not an absent flag: it never runs the default ladder.
+    assert run([*argv, "--deltas", ""]) == 2
+    assert "need at least one probe radius" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("ids", ["99", "1,1", "0,42"])
+@pytest.mark.parametrize("ids", ["99", "1,1", "0,42", ""])
 def test_verify_rejects_unknown_and_repeated_criteria(ids, capsys):
     assert run(["verify", "--criteria", ids]) == 2
     err = _one_line_error(capsys)

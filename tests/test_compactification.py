@@ -20,11 +20,10 @@ from compactify.compactification import (
     closure_membership,
     greedy_cluster,
     load_model,
-    remainder_separation,
     save_model,
     write_remainder_csv,
 )
-from compactify.functions import Cos, FunctionFamily, StereoX, StereoY, Tanh
+from compactify.functions import Cos, FunctionFamily, Tanh
 from compactify.product_space import BOX_ROWS, ProductPoint, capped_distance, distances_to_cloud
 
 from conftest import SMALL
@@ -355,19 +354,6 @@ def test_membership_reports_outside_beyond_eps(gamma_model):
     assert m.cluster_id is None
     assert m.parameter is None
     assert m.distance == pytest.approx(0.5, abs=1e-6)
-
-
-def test_remainder_separation_is_healthy_on_narrow_windows():
-    params = BuildParams(r_image=5.0, grid_step=1e-3)
-    model = build_compactification((StereoX(), StereoY()), params)
-    assert len(model.remainder) == 1
-    assert remainder_separation(model) > 0.1
-
-
-def test_remainder_separation_collapses_under_saturation(two_point_model):
-    # documented caveat: at the default window tanh tail samples coincide
-    # with image samples bit for bit, so the diagnostic reads zero
-    assert remainder_separation(two_point_model) == 0.0
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.05])

@@ -20,14 +20,12 @@ from compactify.extension import (
     FAIL_THRESHOLD,
     MIN_FAIL_WITNESSES,
     PASS_THRESHOLD,
-    ChebyshevExtension,
     ExtensionReport,
     InsufficientWitnessesError,
     OscillationRow,
     ProjectionExtension,
     Verdict,
     check_extendability,
-    derived_extension,
     extend_by_projection,
 )
 from compactify.functions import AffineImage, Cheb, Cos, StereoX, StereoY, Tanh
@@ -55,25 +53,6 @@ def test_projection_rejects_out_of_range_coordinates(gamma_model):
         extend_by_projection(gamma_model, gamma_model.dim)
     with pytest.raises(IndexError):
         extend_by_projection(gamma_model, -1)
-
-
-def test_derived_extension_agrees_with_double_angle(gamma_model):
-    handle = derived_extension(gamma_model, 2)
-    assert isinstance(handle, ChebyshevExtension)
-    xs = gamma_model.image_params
-    got = handle(gamma_model.image_points)
-    assert np.max(np.abs(got - np.cos(2.0 * xs))) < 1e-12
-
-
-def test_derived_extension_degree_one_is_projection(gamma_model):
-    d1 = derived_extension(gamma_model, 1)
-    proj = extend_by_projection(gamma_model, 1)
-    assert np.array_equal(d1(gamma_model.image_points), proj(gamma_model.image_points))
-
-
-def test_derived_extension_needs_a_cosine_coordinate(two_point_model):
-    with pytest.raises(ValueError):
-        derived_extension(two_point_model, 2)
 
 
 def test_incommensurable_cosine_fails_to_extend(gamma_model):
@@ -150,6 +129,9 @@ def test_delta_ladder_validation(gamma_model):
         check_extendability(gamma_model, Cos(2.0, 0.0), deltas=(0.1, -0.01))
     for deltas in ((math.nan,), (0.2, math.nan, 0.01)):
         with pytest.raises(ValueError):
+            check_extendability(gamma_model, Cos(2.0, 0.0), deltas=deltas)
+    for deltas in ((math.inf,), (0.2, math.inf, 0.01)):
+        with pytest.raises(ValueError, match="positive and finite"):
             check_extendability(gamma_model, Cos(2.0, 0.0), deltas=deltas)
 
 

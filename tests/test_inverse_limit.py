@@ -23,7 +23,6 @@ from compactify.inverse_limit import (
     lift_point,
     make_thread_from_parameter,
     thread_residuals,
-    verify_closedness_sample,
 )
 from compactify.ordering import CopyCoordinate, Incomparable, apply_witness, compare
 from compactify.product_space import ProductPoint, distances_to_cloud
@@ -190,11 +189,8 @@ def test_closedness_separates_threads_from_impostors(two_level):
         ProductPoint((-good[0].coords[0],), two_level.levels[0].space),
         good[1],
     )
-    report = verify_closedness_sample(two_level, [tuple(good), bent])
-    assert report.members == (True, False)
-    assert report.residuals[0][0] <= 1e-9
-    assert report.residuals[1][0] > 1e-3
-    assert not report.all_members
+    assert thread_residuals(two_level, good)[0] <= 1e-9
+    assert thread_residuals(two_level, Thread(bent))[0] > 1e-3
 
 
 def test_bond_composition_is_functorial():
@@ -220,13 +216,6 @@ def test_lift_from_positive_infinity_hits_a_remainder_cluster(two_level):
     entry = thread[1]
     assert any(np.allclose(entry.coords, c.center) for c in upper.remainder)
     assert abs(entry.coords[0] - 1.0) <= 2.0 * upper.params.cluster_radius
-
-
-def test_closedness_of_no_candidates_is_an_empty_report(two_level):
-    report = verify_closedness_sample(two_level, [])
-    assert report.members == ()
-    assert report.residuals == ()
-    assert report.all_members
 
 
 def _dense_candidates(model):

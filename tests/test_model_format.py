@@ -1,7 +1,8 @@
-"""The CPTF2 model format against the CPTF1 oracle writer."""
+"""The CPTF2 model format."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 import struct
@@ -21,7 +22,7 @@ from compactify.compactification import (
 )
 
 from conftest import SMALL
-from model_files import split_cptf2, write_cptf1
+from model_files import split_cptf2
 
 FAMILIES = {
     "1-coord": TWO_POINT_FAMILY,
@@ -46,15 +47,12 @@ def assert_same_model(a: CompactificationModel, b: CompactificationModel) -> Non
 
 @pytest.mark.parametrize("window", ["default", "small"])
 @pytest.mark.parametrize("kind", list(FAMILIES))
-def test_cptf2_loads_the_arrays_cptf1_does(ctx, tmp_path, kind, window):
+def test_cptf2_round_trips_the_model(ctx, tmp_path, kind, window):
     family = FAMILIES[kind]
     model = ctx.model(family) if window == "default" else build_compactification(family, SMALL)
     save_model(model, tmp_path / "m.cptf")
-    write_cptf1(model, tmp_path / "m1.cptf")
     assert (tmp_path / "m.cptf").read_bytes().startswith(b"CPTF2\n")
-    new, old = load_model(tmp_path / "m.cptf"), load_model(tmp_path / "m1.cptf")
-    assert_same_model(new, old)
-    assert_same_model(new, model)
+    assert_same_model(load_model(tmp_path / "m.cptf"), model)
 
 
 def test_five_coordinate_file_is_under_five_megabytes(ctx, tmp_path):
@@ -185,18 +183,14 @@ def test_an_oversized_header_length_is_refused_before_reading(small_gamma, tmp_p
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("writer", [save_model, write_cptf1])
-def test_non_finite_image_points_are_refused(small_gamma, tmp_path, writer, value):
+def test_non_finite_image_points_are_refused(small_gamma, tmp_path, value):
     path = tmp_path / "m.cptf"
-    if writer is save_model:
-        # save_model refuses such a model, so the float is set in a good file.
-        save_model(small_gamma, path)
-        blob = path.read_bytes()
-        _, image, labels = split_cptf2(blob)
-        at = len(blob) - len(image) - len(labels) + 8 * (3 * small_gamma.dim + 1)
-        path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8 :])
-    else:
-        writer(_image_point_set(small_gamma, value), path)
+    # save_model refuses such a model, so the float is set in a good file.
+    save_model(small_gamma, path)
+    blob = path.read_bytes()
+    _, image, labels = split_cptf2(blob)
+    at = len(blob) - len(image) - len(labels) + 8 * (3 * small_gamma.dim + 1)
+    path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8 :])
     with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file: image points are not all finite")):
         load_model(path)
 
@@ -204,8 +198,10 @@ def test_non_finite_image_points_are_refused(small_gamma, tmp_path, writer, valu
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_centers_are_refused(small_gamma, tmp_path, value):
     path = tmp_path / "m.cptf"
-    center = small_gamma.remainder[2].center.copy()
-    center[0] = value
-    write_cptf1(_with_cluster(small_gamma, 2, center=center), path)
+    save_model(small_gamma, path)
+    header, image, labels = split_cptf2(path.read_bytes())
+    header["clusters"][2]["center"][0] = value  # written as NaN or Infinity
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(text)) + text + image + labels)
     with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file: cluster 2 center is not finite")):
         load_model(path)

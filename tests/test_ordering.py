@@ -21,7 +21,6 @@ from compactify.ordering import (
     Incomparable,
     apply_witness,
     compare,
-    compose_mappings,
     enlarge,
     equivalence_check,
     _apply_mapping_array,
@@ -95,6 +94,23 @@ def test_apply_witness_reproduces_the_smaller_embedding(gamma_model, tanh_cos2):
     one = apply_witness(w, gamma_model.image_points[17])
     assert one.shape == (2,)
     assert np.array_equal(one, mapped[17])
+
+
+def compose_mappings(outer, inner):
+    """Mapping for A -> C given B -> C (outer) and A -> B (inner).
+
+    Chebyshev stages multiply: T_m after T_k is T_{mk}.
+    """
+    out = []
+    for m in outer:
+        src = inner[m.source]
+        if isinstance(m, CopyCoordinate):
+            out.append(src)
+        elif isinstance(src, CopyCoordinate):
+            out.append(ChebOfCoordinate(m.degree, src.source))
+        else:
+            out.append(ChebOfCoordinate(m.degree * src.degree, src.source))
+    return tuple(out)
 
 
 def test_composed_mappings_match_direct_comparison(gamma_model, tanh_cos2, tanh_cos4):

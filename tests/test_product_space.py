@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,13 @@ from compactify.product_space import (
     BOX_ROWS,
     BoxedCloud,
     ProductPoint,
+    _truncation_depth,
     box_lower_bound,
-    cap_metric,
     capped_distance,
     check_ball_cylinder_inclusions,
-    coordinate_weights,
     distances_to_cloud,
     nearest_in_cloud,
     product_distance,
-    read_point_cloud_csv,
     rowwise_distance,
     tail_bound,
     write_point_cloud_csv,
@@ -31,32 +31,6 @@ def cube(dim: int) -> tuple[Interval, ...]:
 
 def rand_point(rng, dim: int) -> ProductPoint:
     return ProductPoint(tuple(rng.uniform(-1.0, 1.0, dim)), cube(dim))
-
-
-def test_cap_metric_values():
-    assert cap_metric(0.5, 0.25) == 0.25
-    assert cap_metric(3.0, 0.0) == 1.0
-    assert cap_metric(-1.0, 1.0) == 1.0
-
-
-def test_cap_metric_triangle_splits_by_saturation():
-    # two regimes: once any leg saturates at 1 the bound is immediate,
-    # otherwise the plain line triangle inequality carries over
-    rng = np.random.default_rng(5)
-    for _ in range(2000):
-        u, v, w = rng.uniform(-40.0, 40.0, 3)
-        lhs = cap_metric(u, w)
-        a, b = cap_metric(u, v), cap_metric(v, w)
-        if a == 1.0 or b == 1.0:
-            assert lhs <= a + b  # lhs never exceeds 1
-        else:
-            assert lhs <= a + b + 1e-12
-
-
-def test_coordinate_weights_halve():
-    w = coordinate_weights(5)
-    assert w[0] == 1.0
-    assert np.array_equal(w[:-1] / 2.0, w[1:])
 
 
 def test_distance_worked_example():
@@ -119,7 +93,7 @@ def test_vectorised_distances_agree_with_scalar():
     def scalar(u, v):
         d = product_distance(ProductPoint(tuple(u), space), ProductPoint(tuple(v), space))
         # a plain Python sum that shares no code with the numpy kernel
-        assert d == sum(cap_metric(x, y) * 0.5**n for n, (x, y) in enumerate(zip(u, v)))
+        assert d == sum(min(1.0, abs(x - y)) * 0.5**n for n, (x, y) in enumerate(zip(u, v)))
         return d
 
     slow = np.array([scalar(p, row) for row in cloud])
@@ -202,6 +176,13 @@ def test_inclusion_checks_run_past_a_thousand_coordinates():
     assert check_ball_cylinder_inclusions(space, samples, r=0.3).ok
 
 
+@pytest.mark.parametrize("r", [2.0, 1.0, 0.3, 0.25, 1e-9, 2.0**-1022, 5e-324])
+def test_truncation_depth_is_the_least_k_whose_tail_weighs_under_half_r(r):
+    # In exact arithmetic; the least subnormal radius used to loop forever.
+    k = _truncation_depth(r)
+    assert Fraction(2) ** (1 - k) < Fraction(r) / 2 <= Fraction(2) ** (2 - k)
+
+
 def test_inclusion_checker_rejects_bad_input():
     space = cube(2)
     pt = ProductPoint((0.0, 0.0), space)
@@ -217,7 +198,7 @@ def test_point_cloud_csv_roundtrip_is_bitwise(tmp_path):
     pts = rng.uniform(-1.0, 1.0, (37, 4))
     path = tmp_path / "cloud.csv"
     write_point_cloud_csv(path, pts, header=["c0", "c1", "c2", "c3"])
-    back = read_point_cloud_csv(path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back, pts)
 
 
