@@ -43,7 +43,6 @@ from .extension import (
     ExtensionReport,
     Verdict,
     check_extendability,
-    extend_by_projection,
 )
 from .ordering import (
     ChebOfCoordinate,
@@ -93,7 +92,6 @@ __all__ = [
     "ExtensionReport",
     "Verdict",
     "check_extendability",
-    "extend_by_projection",
     "ChebOfCoordinate",
     "ComparisonWitness",
     "CopyCoordinate",

@@ -20,7 +20,7 @@ from .compactification import (
     CompactificationModel,
     build_compactification,
 )
-from .extension import Verdict, check_extendability, extend_by_projection
+from .extension import Verdict, check_extendability
 from .functions import Cos, FunctionFamily, Interval, StereoX, StereoY, Tanh, chebyshev_expand
 from .inverse_limit import (
     InverseSystem,
@@ -44,7 +44,6 @@ from .product_space import (
 __all__ = [
     "BUILD_PARAMS",
     "AcceptanceContext",
-    "CriterionResult",
     "CRITERIA",
     "run_criteria",
     "metric_sample",
@@ -90,22 +89,6 @@ class AcceptanceContext:
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + salt)
-
-
-@dataclass
-class CriterionResult:
-    cid: int
-    name: str
-    passed: bool
-    details: dict
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.cid,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def _crit_chebyshev_identity(ctx: AcceptanceContext) -> tuple[bool, dict]:
@@ -287,8 +270,8 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> tuple[bool, dict]:
     # metric: the best capped gap in t, the c coordinate already lies in
     # its interval.
     proximity = float(
-        np.max(np.minimum(np.minimum(1.0, np.abs(centers[:, 0] - 1.0)),
-                          np.minimum(1.0, np.abs(centers[:, 0] + 1.0))))
+        np.max(np.minimum(capped_distance(centers[:, :1], [1.0]),
+                          capped_distance(centers[:, :1], [-1.0])))
     )
     passed = cover <= 0.05 and proximity <= 0.05
     return (
@@ -310,11 +293,14 @@ def _crit_projection_exactness(ctx: AcceptanceContext) -> tuple[bool, dict]:
     exact = True
     for family in families:
         model = ctx.model(family)
-        for n, f in enumerate(model.family):
-            handle = extend_by_projection(model, n)
-            reproduced = handle(model.image_points)
+        for f in model.family:
+            report = check_extendability(model, f)
             expected = f.evaluate(model.image_params)
-            exact = exact and bool(np.array_equal(reproduced, expected))
+            exact = (
+                exact
+                and report.verdict == Verdict.EXTENDS_BY_PROJECTION
+                and bool(np.array_equal(model.image_points[:, report.coordinate], expected))
+            )
             checked += 1
     return (
         exact,
@@ -463,11 +449,10 @@ CRITERIA: tuple[tuple[int, str, Callable[[AcceptanceContext], tuple[bool, dict]]
 )
 
 
-def run_criteria(
-    ctx: AcceptanceContext, ids: tuple[int, ...] | None = None
-) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) against one context,
-    in table order.  Unknown, repeated or no ids are a ``ValueError``."""
+def run_criteria(ctx: AcceptanceContext, ids: tuple[int, ...] | None = None) -> list[dict]:
+    """Run the selected criteria (all by default) against one context, in
+    table order, each as its report entry: id, name, pass flag, details.
+    Unknown, repeated or no ids are a ``ValueError``."""
     if ids is not None:
         unknown = sorted(set(ids) - {cid for cid, _, _ in CRITERIA})
         repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
@@ -476,11 +461,12 @@ def run_criteria(
                 f"criteria must be distinct known ids (1-{len(CRITERIA)}): "
                 f"unknown {unknown}, repeated {repeated}"
             )
-    return [
-        CriterionResult(cid, name, *fn(ctx))
-        for cid, name, fn in CRITERIA
-        if ids is None or cid in ids
-    ]
+    results = []
+    for cid, name, fn in CRITERIA:
+        if ids is None or cid in ids:
+            passed, details = fn(ctx)
+            results.append({"id": cid, "name": name, "passed": passed, "details": details})
+    return results
 
 
 def verify_report_body(seed: int, ids: tuple[int, ...] | None = None) -> dict:
@@ -491,6 +477,6 @@ def verify_report_body(seed: int, ids: tuple[int, ...] | None = None) -> dict:
         "tool_version": __version__,
         "seed": seed,
         "build_params": BUILD_PARAMS.to_json(),
-        "all_passed": all(r.passed for r in results),
-        "criteria": [r.to_json() for r in results],
+        "all_passed": all(r["passed"] for r in results),
+        "criteria": results,
     }

@@ -94,7 +94,6 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--json-report", default=None, metavar="PATH")
 
 
@@ -266,15 +265,23 @@ def _cmd_verify(args) -> tuple[int, dict, dict]:
         ids = _comma_list(args.criteria, int)
     body = verify_report_body(args.seed, ids)
     config = {
-        "all": bool(args.all or ids is None),
+        "all": ids is None,
         # In the order they ran, which is table order.
         "criteria": [r["id"] for r in body["criteria"]],
     }
     return (EXIT_OK if body["all_passed"] else EXIT_NUMERIC), config, body
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a flag error as ValueError, so it ends in one line and
+    exit 2 like every other usage error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="compactify",
         description="Closure models of coordinate embeddings of the real line",
     )
@@ -321,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=5)
     p.add_argument("--pairs", type=int, default=10_000)
     p.add_argument("--r", type=float, default=0.3)
+    p.add_argument("--seed", type=int, default=7)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_metric_check)
 
@@ -332,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chain_demo)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--criteria", default=None, metavar="1,2,...")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--criteria", default=None, metavar="1,2,...")
+    p.add_argument("--seed", type=int, default=7)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_verify)
 
@@ -342,12 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Run one command: the only place a report is written or an error mapped."""
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         code, config, result = args.fn(args)
-        # "workers" is a fixed 1, kept so the config block keeps its shape.
-        config = {**config, "command": args.command, "seed": args.seed, "workers": 1}
+        # The fixed seed 7 of the unseeded commands and the fixed "workers"
+        # keep the config block's shape; both go in the next benchmark
+        # change (ROADMAP item 6).
+        config = {**config, "command": args.command, "seed": getattr(args, "seed", 7), "workers": 1}
         _emit(result, config, started, args.json_report)
         return code
     except tuple(_ERROR_EXITS) as exc:

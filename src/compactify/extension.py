@@ -18,7 +18,7 @@ import numpy as np
 
 from .compactification import CompactificationModel
 from .functions import FunctionDescriptor
-from .product_space import ProductPoint, distances_to_cloud
+from .product_space import distances_to_cloud
 
 __all__ = [
     "DEFAULT_DELTAS",
@@ -29,8 +29,6 @@ __all__ = [
     "OscillationRow",
     "ExtensionReport",
     "InsufficientWitnessesError",
-    "ProjectionExtension",
-    "extend_by_projection",
     "check_extendability",
 ]
 
@@ -50,30 +48,6 @@ class Verdict(str, Enum):
 
 class InsufficientWitnessesError(RuntimeError):
     """A cluster had no witnesses inside the smallest probe radius."""
-
-
-@dataclass(frozen=True)
-class ProjectionExtension:
-    """Extension of a family member: read coordinate ``coordinate``.
-
-    Composing with the embedding reproduces the member exactly, bit for
-    bit, because image points store the evaluated coordinates themselves.
-    """
-
-    coordinate: int
-
-    def __call__(self, p):
-        if isinstance(p, ProductPoint):
-            return p.coords[self.coordinate]
-        arr = np.asarray(p, dtype=np.float64)
-        return arr[..., self.coordinate]
-
-
-def extend_by_projection(model: CompactificationModel, n: int) -> ProjectionExtension:
-    """Extension handle for family member n: coordinate projection."""
-    if not (0 <= n < model.dim):
-        raise IndexError(f"coordinate {n} out of range for a {model.dim}-coordinate model")
-    return ProjectionExtension(n)
 
 
 @dataclass(frozen=True)

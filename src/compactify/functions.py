@@ -388,8 +388,6 @@ class FunctionFamily:
     def from_file(cls, path) -> "FunctionFamily":
         with open(path, "r", encoding="utf-8") as fh:
             data = decode_json(fh.read())
-        if isinstance(data, dict) and "family" in data:
-            data = data["family"]
         if not isinstance(data, list):
             raise ValueError("family file must hold a JSON array of descriptors")
         return cls.from_json(data)

@@ -2,8 +2,9 @@
 
 An ascending chain of models is bonded by comparison witnesses mapping
 each level down to the previous one.  Points of the limit are threads:
-one point per level, consecutive levels agreeing through the bonds.  The
-limit itself is modeled by the union family, which dominates every level.
+one point per level, consecutive levels agreeing through the bonds.
+Every bond is a verified onto map, so the limit of the finite chain is
+its deepest level.
 """
 from __future__ import annotations
 
@@ -14,12 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compactification import (
-    CompactificationModel,
-    build_compactification,
-    closure_membership,
-)
-from .functions import FunctionFamily
+from .compactification import CompactificationModel, closure_membership
 from .ordering import ComparisonWitness, Incomparable, apply_witness, compare
 from .product_space import (
     BoxedCloud,
@@ -205,21 +201,7 @@ def lift_point(
 
 
 def chain_limit(system: InverseSystem) -> CompactificationModel:
-    """Model of the limit: the model of the union of all level families.
-
-    For chains that grow by adjoining coordinates the deepest family
-    already contains the others, so the deepest level is the limit model
-    and nothing is rebuilt.  Otherwise descriptors missing from it are
-    appended in level order, duplicates removed, and the union is built.
-    """
-    deepest = system.levels[-1]
-    descriptors = list(deepest.family.descriptors)
-    seen = set(descriptors)
-    for level in system.levels[:-1]:
-        for f in level.family:
-            if f not in seen:
-                descriptors.append(f)
-                seen.add(f)
-    if len(descriptors) == len(deepest.family):
-        return deepest
-    return build_compactification(FunctionFamily(tuple(descriptors)), deepest.params)
+    """Model of the limit: the deepest level.  The bonds are verified onto
+    maps, so each thread is fixed by its deepest entry, and every point of
+    the deepest level starts one."""
+    return system.levels[-1]

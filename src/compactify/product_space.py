@@ -281,16 +281,12 @@ def check_ball_cylinder_inclusions(
     )
 
 
-def write_point_cloud_csv(path, points: np.ndarray, header: Sequence[str] | None = None) -> None:
-    """Write one row per point with 17-significant-digit coordinates."""
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+def write_point_cloud_csv(path, points: np.ndarray) -> None:
+    """Write (M, N) points, one row each, under a c0..c{N-1} header, with
+    17-significant-digit coordinates."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header is None:
-            header = [f"c{n}" for n in range(arr.shape[1])]
-        writer.writerow(list(header))
-        for row in arr:
+        writer.writerow([f"c{n}" for n in range(points.shape[1])])
+        for row in points:
             writer.writerow([f"{v:.17g}" for v in row])
 

@@ -23,10 +23,8 @@ from compactify.extension import (
     ExtensionReport,
     InsufficientWitnessesError,
     OscillationRow,
-    ProjectionExtension,
     Verdict,
     check_extendability,
-    extend_by_projection,
 )
 from compactify.functions import AffineImage, Cheb, Cos, StereoX, StereoY, Tanh
 from compactify.product_space import distances_to_cloud
@@ -38,21 +36,6 @@ def test_family_member_short_circuits_to_projection(gamma_model):
     assert report.verdict is Verdict.EXTENDS_BY_PROJECTION
     assert report.coordinate == 1
     assert report.tables == {}
-
-
-def test_projection_handle_returns_stored_coordinate(gamma_model):
-    handle = extend_by_projection(gamma_model, 1)
-    assert isinstance(handle, ProjectionExtension)
-    assert np.array_equal(handle(gamma_model.image_points), gamma_model.image_points[:, 1])
-    p = gamma_model.embed(2.5)
-    assert handle(p) == p.coords[1]
-
-
-def test_projection_rejects_out_of_range_coordinates(gamma_model):
-    with pytest.raises(IndexError):
-        extend_by_projection(gamma_model, gamma_model.dim)
-    with pytest.raises(IndexError):
-        extend_by_projection(gamma_model, -1)
 
 
 def test_incommensurable_cosine_fails_to_extend(gamma_model):

@@ -237,12 +237,11 @@ def test_family_file_roundtrip(tmp_path):
     p = tmp_path / "family.json"
     p.write_text(json.dumps(fam.to_json()))
     assert FunctionFamily.from_file(p) == fam
-    # wrapped object form is accepted too
-    p.write_text(json.dumps({"family": fam.to_json()}))
-    assert FunctionFamily.from_file(p) == fam
-    p.write_text(json.dumps({"other": 1}))
-    with pytest.raises(ValueError):
-        FunctionFamily.from_file(p)
+    # only the bare array is a family file
+    for other in ({"family": fam.to_json()}, {"other": 1}):
+        p.write_text(json.dumps(other))
+        with pytest.raises(ValueError, match="JSON array"):
+            FunctionFamily.from_file(p)
 
 
 def test_injective_leads_separate_sampled_pairs():

@@ -24,7 +24,14 @@ from compactify.inverse_limit import (
     make_thread_from_parameter,
     thread_residuals,
 )
-from compactify.ordering import CopyCoordinate, Incomparable, apply_witness, compare
+from compactify.ordering import (
+    ChebOfCoordinate,
+    ComparisonWitness,
+    CopyCoordinate,
+    Incomparable,
+    apply_witness,
+    compare,
+)
 from compactify.product_space import ProductPoint, distances_to_cloud
 
 from conftest import SMALL
@@ -157,25 +164,26 @@ def test_chain_limit_unions_the_families(two_level):
     lim = chain_limit(two_level)
     assert tuple(lim.family) == tuple(two_level.levels[1].family)
     assert lim.params == two_level.levels[1].params
-    # the deepest family already holds every descriptor: nothing is rebuilt
+    # the deepest level is the limit itself: nothing is rebuilt
     assert lim is two_level.levels[1]
 
 
-def test_chain_limit_appends_missing_descriptors():
+def test_chain_limit_is_the_deepest_level():
     # not a subset chain: the lower level carries a harmonic the deeper
-    # family does not mention verbatim
+    # family does not mention verbatim, and the bond derives it
     levels = [
         build_compactification((Tanh(), Cos(2.0, 0.0)), SMALL),
         build_compactification((Tanh(), Cos()), SMALL),
     ]
     system = InverseSystem.from_levels(levels)
     lim = chain_limit(system)
-    assert tuple(lim.family) == (Tanh(), Cos(), Cos(2.0, 0.0))
+    assert lim is levels[-1]
+    w = compare(lim, levels[0])
+    assert isinstance(w, ComparisonWitness)
+    assert w.mapping == (CopyCoordinate(0), ChebOfCoordinate(2, 1))
 
 
 def test_chain_limit_dominates_every_level(two_level):
-    from compactify.ordering import ComparisonWitness, compare
-
     lim = chain_limit(two_level)
     for level in two_level.levels:
         w = compare(lim, level)

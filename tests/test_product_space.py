@@ -197,7 +197,8 @@ def test_point_cloud_csv_roundtrip_is_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, (37, 4))
     path = tmp_path / "cloud.csv"
-    write_point_cloud_csv(path, pts, header=["c0", "c1", "c2", "c3"])
+    write_point_cloud_csv(path, pts)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "c0,c1,c2,c3"
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back, pts)
 
