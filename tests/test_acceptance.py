@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from compactify import acceptance
 from compactify.acceptance import (
     _ORACLE_BLOCK,
     CRITERIA,
@@ -70,6 +73,60 @@ def test_criterion_6_streamed_cover_equals_the_one_shot_value():
         one_shot = capped_distance(oracle[:, None, :], centers[None, :, :]).min(axis=1).max()
         assert _oracle_cover(model.embedding, params, centers) == float(one_shot)
     assert params.shape[0] % _ORACLE_BLOCK and params.shape[0] > 2 * _ORACLE_BLOCK
+
+
+# The oracle's parameters stand for already-embedded points here.
+_POINTS_AS_PARAMS = SimpleNamespace(embed_array=lambda block: block)
+# Two full blocks and a partial third.
+_CLOUD_ROWS = 2 * _ORACLE_BLOCK + 777
+
+
+def _centers(case: str, rng: np.random.Generator) -> np.ndarray:
+    if case == "single center":
+        return rng.uniform(-0.5, 0.5, size=(1, 3))
+    centers = rng.uniform(-0.5, 0.5, size=(12, 3))
+    if case == "shared last coordinate":
+        centers[:, -1] = rng.choice([-0.5, 0.0, 0.5], size=12)
+    return centers
+
+
+@pytest.mark.parametrize("case", ["single center", "shared last coordinate", "distinct"])
+@pytest.mark.parametrize(
+    "row",
+    [0, _ORACLE_BLOCK - 1, _ORACLE_BLOCK, 2 * _ORACLE_BLOCK - 1, 2 * _ORACLE_BLOCK, -1],
+    ids=["first-of-first", "last-of-first", "first-of-second", "last-of-second",
+         "first-of-partial", "last-of-partial"],
+)
+def test_criterion_6_early_exit_cover_equals_the_brute_force_cover(case, row):
+    rng = np.random.default_rng(sum(map(ord, case)) + row)
+    centers = _centers(case, rng)
+    points = rng.uniform(-0.5, 0.5, size=(_CLOUD_ROWS, 3))
+    nearest = capped_distance(points[:, None, :], centers[None, :, :]).min(axis=1)
+    # Swap the row farthest from every center into the tested place.
+    far = int(nearest.argmax())
+    points[[far, row]] = points[[row, far]]
+    assert nearest.max() > np.delete(nearest, far).max()
+    assert _oracle_cover(_POINTS_AS_PARAMS, points, centers) == float(nearest.max())
+
+
+@pytest.mark.parametrize("case", ["single center", "shared last coordinate", "distinct"])
+def test_criterion_6_cover_of_the_centers_themselves_is_zero(case, monkeypatch):
+    rng = np.random.default_rng(6)
+    centers = _centers(case, rng)
+    points = centers[rng.integers(centers.shape[0], size=_CLOUD_ROWS)]
+    full_minimum_rows = []
+
+    def counting(a, b):
+        if np.ndim(a) == 3:
+            full_minimum_rows.append(np.shape(a)[0])
+        return capped_distance(a, b)
+
+    monkeypatch.setattr(acceptance, "capped_distance", counting)
+    assert _oracle_cover(_POINTS_AS_PARAMS, points, centers) == 0.0
+    # With distinct last coordinates each point's own center is one of its
+    # two neighbours, so its bound is 0.0, which never exceeds the cover.
+    if case != "shared last coordinate":
+        assert sum(full_minimum_rows) == 0
 
 
 def test_run_criteria_rejects_an_empty_selection(ctx):

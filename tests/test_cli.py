@@ -670,9 +670,10 @@ def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):
 @pytest.mark.parametrize("ids", ["99", "1,1", "0,42", ""])
 def test_verify_rejects_unknown_and_repeated_criteria(ids, capsys):
     assert run(["verify", "--criteria", ids]) == 2
-    err = _one_line_error(capsys)
-    assert "criteria must be distinct known ids" in err
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "criteria must be distinct known ids" in captured.err
 
 
 def test_build_rejects_an_over_large_grid(tmp_path, family_file, capsys):
