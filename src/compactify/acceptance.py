@@ -9,7 +9,7 @@ header.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -225,14 +225,6 @@ def _crit_cosine_obstruction(ctx: AcceptanceContext) -> tuple[bool, dict]:
     return passed, results
 
 
-def _dense_tail(p: BuildParams) -> np.ndarray:
-    """Both tails at a quarter of the build's tail step."""
-    step = p.tail_step / 4.0
-    count = round((p.r_tail_hi - p.r_tail_lo) / step)
-    plus = np.linspace(p.r_tail_lo, p.r_tail_hi, count + 1)
-    return np.concatenate([-plus[::-1], plus])
-
-
 # Oracle parameters are embedded and measured this many at a time.
 _ORACLE_BLOCK = 8_192
 
@@ -277,7 +269,8 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> tuple[bool, dict]:
     centers = model.remainder_centers()
     p = model.params
 
-    oracle_params = _dense_tail(p)
+    # Both tails at a quarter of the build's tail step.
+    oracle_params = replace(p, grid_step=p.grid_step / 4).tail_grid()
     cover = _oracle_cover(model.embedding, oracle_params, centers)
 
     # Distance from a center (t, c) to {-1,+1} x [-1,1] in the product
@@ -429,7 +422,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
         max(bond_residuals) <= 1e-9
         and thread_sup <= 1e-9
         and lift_failures == 0
-        and agree_sup <= 2.0 * BUILD_PARAMS.cluster_radius
+        and agree_sup <= BUILD_PARAMS.resolution
         and limit_ok
         and all(r is not None and r <= 1e-9 for r in limit_residuals)
     )

@@ -306,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_extend_check)
 
     p = sub.add_parser("compare", help="exhibit one model above another")
-    p.add_argument("--larger", "--a", required=True, metavar="PATH")
-    p.add_argument("--smaller", "--b", required=True, metavar="PATH")
+    p.add_argument("--larger", required=True, metavar="PATH")
+    p.add_argument("--smaller", required=True, metavar="PATH")
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_compare)
 

@@ -58,21 +58,17 @@ _LABEL_DTYPES = ("<u1", "<u2", "<u4")
 MAX_SAMPLES = 2**25
 
 
-def _steps(span: float, step: float) -> int:
-    """Grid intervals of ``step`` across ``span``, saturating at MAX_SAMPLES
-    so a quotient that overflows to inf still compares."""
-    return round(min(span / step, MAX_SAMPLES))
-
-
 @dataclass(frozen=True)
 class BuildParams:
     """Sampling and clustering parameters for a model build.
 
     The image grid covers [-r_image, r_image] with step ``grid_step``; the
     two tail grids cover +-[r_tail_lo, r_tail_hi] with a step ten times
-    coarser.  ``cluster_radius`` is the capture radius of the greedy
-    remainder clustering.  The three grids together may hold at most
-    ``MAX_SAMPLES`` parameters.
+    coarser.  Each grid needs at least one step, and the three together
+    may hold at most ``MAX_SAMPLES`` parameters; both are checked when the
+    params are made.  ``cluster_radius`` is the capture radius of the
+    greedy remainder clustering, and ``resolution``, twice that radius, is
+    how close counts as the same point.
     """
 
     r_image: float = 50.0
@@ -97,16 +93,40 @@ class BuildParams:
                 f"grid_step {self.grid_step!r} asks for more than {MAX_SAMPLES} samples; "
                 "use a larger grid_step or a narrower window"
             )
+        if self.grid_step > 2.0 * self.r_image:
+            raise ValueError("image grid is empty: grid_step exceeds the parameter window")
+        if tails < 4:  # each tail grid needs one step, two parameters
+            raise ValueError("tail grid is empty: tail step exceeds the tail window")
 
     @property
     def tail_step(self) -> float:
         return 10.0 * self.grid_step
 
+    @property
+    def resolution(self) -> float:
+        """Twice the capture radius, the most a witness strays from its
+        cluster's mean center: lifts, the membership checks that start
+        them and compares' onto checks accept a point within it."""
+        return 2.0 * self.cluster_radius
+
     def sample_counts(self) -> tuple[int, int]:
-        """Parameters in the image grid and in both tail grids together."""
-        image = _steps(2.0 * self.r_image, self.grid_step) + 1
-        tails = 2 * (_steps(self.r_tail_hi - self.r_tail_lo, self.tail_step) + 1)
-        return image, tails
+        """Parameters in the image grid and in both tail grids together.
+
+        Step counts saturate at MAX_SAMPLES, so a quotient that overflows
+        to inf still compares.
+        """
+        image = round(min(2.0 * self.r_image / self.grid_step, MAX_SAMPLES)) + 1
+        tail = round(min((self.r_tail_hi - self.r_tail_lo) / self.tail_step, MAX_SAMPLES)) + 1
+        return image, 2 * tail
+
+    def image_grid(self) -> np.ndarray:
+        """The image parameters across [-r_image, r_image], in increasing order."""
+        return np.linspace(-self.r_image, self.r_image, self.sample_counts()[0])
+
+    def tail_grid(self) -> np.ndarray:
+        """Both tail grids in increasing order: the order the clustering sees."""
+        plus = np.linspace(self.r_tail_lo, self.r_tail_hi, self.sample_counts()[1] // 2)
+        return np.concatenate([-plus[::-1], plus])
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -149,8 +169,9 @@ class RemainderCluster:
 
     ``witnesses`` holds the tail parameters whose embeddings fed the
     cluster; they all sit within the capture radius of the original seed,
-    hence within twice that radius of the refined (mean) center.  ``side``
-    records which infinities the witnesses came from.
+    hence within the build's ``resolution``, twice that radius, of the
+    refined (mean) center.  ``side`` records which infinities the
+    witnesses came from.
     """
 
     cluster_id: int
@@ -204,29 +225,6 @@ class CompactificationModel:
         if not self.remainder:
             return np.empty((0, self.dim))
         return np.vstack([c.center for c in self.remainder])
-
-
-def _image_grid(params: BuildParams) -> np.ndarray:
-    if params.grid_step > 2.0 * params.r_image:
-        raise ValueError(
-            "image grid is empty: grid_step exceeds the parameter window"
-        )
-    steps = _steps(2.0 * params.r_image, params.grid_step)
-    return np.linspace(-params.r_image, params.r_image, steps + 1)
-
-
-def _tail_grids(params: BuildParams) -> tuple[np.ndarray, np.ndarray]:
-    steps = _steps(params.r_tail_hi - params.r_tail_lo, params.tail_step)
-    if steps < 1:
-        raise ValueError("tail grid is empty: tail step exceeds the tail window")
-    plus = np.linspace(params.r_tail_lo, params.r_tail_hi, steps + 1)
-    minus = -plus[::-1]
-    return minus, plus
-
-
-def _tail_params(params: BuildParams) -> np.ndarray:
-    """Both tail grids in increasing order: the order the clustering sees."""
-    return np.concatenate(_tail_grids(params))
 
 
 def _members(labels: np.ndarray, k: int) -> list[np.ndarray]:
@@ -325,10 +323,10 @@ def build_compactification(
         family = FunctionFamily(tuple(family))
     emb = EmbeddingMap(family)
 
-    image_params = _image_grid(params)
+    image_params = params.image_grid()
     image_points = emb.embed_array(image_params)
 
-    tail_params = _tail_params(params)
+    tail_params = params.tail_grid()
     tail_points = emb.embed_array(tail_params)
 
     labels = greedy_cluster(tail_points, params.cluster_radius)
@@ -411,7 +409,7 @@ def _witness_labels(model: CompactificationModel) -> np.ndarray:
     tile the tail grid, and each cluster's must be in grid order.
     """
     k = len(model.remainder)
-    tail = _tail_params(model.params)
+    tail = model.params.tail_grid()
     dtype = _label_dtype(k)
     counts = [c.witness_count for c in model.remainder]
     witnesses = np.concatenate([c.witnesses for c in model.remainder] or [np.empty(0)])
@@ -439,7 +437,7 @@ def save_model(model: CompactificationModel, path) -> None:
     exactly, or with a value that is not finite, raises ValueError, and
     nothing is written.
     """
-    grid = _image_grid(model.params)
+    grid = model.params.image_grid()
     if not np.array_equal(model.image_params, grid):
         raise ValueError("cannot save model: its image parameters are not the image grid")
     shape = (grid.shape[0], model.dim)
@@ -544,8 +542,8 @@ def _read_cptf2(fh) -> CompactificationModel:
         raise ValueError(
             f"label section holds {label_bytes} bytes, not {tails} labels of {itemsize} bytes"
         )
-    image_params = _image_grid(params)
-    tail = _tail_params(params)
+    image_params = params.image_grid()
+    tail = params.tail_grid()
     image_points = np.empty(shape, dtype="<f8")
     labels = np.empty(tails, dtype=dtype)
     _read_into(fh, image_points, "image section")

@@ -8,7 +8,6 @@ its deepest level.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -143,22 +142,19 @@ def _candidate(model: CompactificationModel, k: int) -> np.ndarray:
     return model.image_points[k] if k < images else model.remainder[k - images].center
 
 
-def lift_point(
-    system: InverseSystem, n: int, p: ProductPoint, tol: float | None = None
-) -> Thread:
+def lift_point(system: InverseSystem, n: int, p: ProductPoint) -> Thread:
     """Complete a single level-n point to a whole thread.
 
     Entries below n are exact bond images.  Entries above n are found by
     searching the next level's image cloud and remainder centers for the
     candidate whose bond image is nearest to the current entry, ties going
     to the lowest candidate index.  A level where no candidate lands
-    within ``tol`` (default: twice that level's cluster radius) raises
-    :class:`LiftError` naming the level, which signals that the sampling
-    there is too sparse.  A ``tol`` that is not positive and finite raises
-    ValueError.
+    within that level's ``params.resolution``, twice its capture radius,
+    raises :class:`LiftError` naming the level, which signals that the
+    sampling there is too sparse.
 
-    The level-n point must lie within the base tolerance of the level-n
-    model, as :func:`closure_membership` measures it; otherwise ValueError.
+    The level-n point must lie within the level-n model's resolution, as
+    :func:`closure_membership` measures it; otherwise ValueError.
     The searches are exact and box-pruned.  Every bond's pushed candidates
     (the bond images of the upper level's image points and centers) are
     computed on the system's first lift and kept with their box ranges as
@@ -170,15 +166,11 @@ def lift_point(
     model = system.levels[n]
     if p.space != model.space:
         raise ValueError("point does not live at level n")
-    if tol is not None and not (0.0 < tol < math.inf):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    base_tol = tol
-    if base_tol is None:
-        base_tol = 2.0 * model.params.cluster_radius
-    near = closure_membership(model, p, base_tol).distance
-    if near > base_tol:
+    tol = model.params.resolution
+    near = closure_membership(model, p, tol).distance
+    if near > tol:
         raise ValueError(
-            f"point is {near:.3e} away from the level-{n} model, beyond {base_tol:.3e}"
+            f"point is {near:.3e} away from the level-{n} model, beyond {tol:.3e}"
         )
 
     entries: dict[int, ProductPoint] = {n: p}
@@ -186,11 +178,11 @@ def lift_point(
         entries[i - 1] = apply_bond(system, i - 1, entries[i])
     for i in range(n, system.depth - 1):
         model_up = system.levels[i + 1]
-        level_tol = tol if tol is not None else 2.0 * model_up.params.cluster_radius
+        tol = model_up.params.resolution
         best, dist = nearest_in_cloud(entries[i].as_array(), system.pushed_candidates[i])
-        if dist > level_tol:
+        if dist > tol:
             raise LiftError(
-                f"no candidate at level {i + 1} lands within {level_tol:.3e} "
+                f"no candidate at level {i + 1} lands within {tol:.3e} "
                 f"of the level-{i} entry (closest: {dist:.3e}); "
                 "the sampling at that level is too sparse"
             )

@@ -164,7 +164,7 @@ def _witness_from_mapping(
         )
     mapped_centers = _apply_mapping_array(mapping, larger.remainder_centers())
     onto_defect = 0.0
-    onto_tol = 2.0 * smaller.params.cluster_radius
+    onto_tol = smaller.params.resolution
     for c in smaller.remainder:
         gap = float(distances_to_cloud(c.center, mapped_centers).min())
         onto_defect = max(onto_defect, gap)

@@ -17,14 +17,14 @@ import pytest
 from compactify import acceptance
 from compactify.acceptance import (
     _ORACLE_BLOCK,
+    BUILD_PARAMS,
     CRITERIA,
     TWO_COORD_FAMILY,
-    _dense_tail,
     _oracle_cover,
     run_criteria,
 )
 from compactify.cli import run
-from compactify.compactification import build_compactification
+from compactify.compactification import BuildParams, build_compactification
 from compactify.product_space import capped_distance
 from conftest import SMALL
 
@@ -63,12 +63,47 @@ def test_criterion_11_cli_reports_are_reproducible(tmp_path, capsys):
     assert blob1 == blob2
 
 
+def _quarter_step_tail(p):
+    # Criterion 6's oracle grid: both tails at a quarter of the build's step.
+    return replace(p, grid_step=p.grid_step / 4).tail_grid()
+
+
+def _dense_tail(p):
+    # The same grid written out directly, as the reference: the tail step
+    # quartered, its step count, and both tails in increasing order.
+    step = p.tail_step / 4.0
+    count = round((p.r_tail_hi - p.r_tail_lo) / step)
+    plus = np.linspace(p.r_tail_lo, p.r_tail_hi, count + 1)
+    return np.concatenate([-plus[::-1], plus])
+
+
+def _random_params(rng):
+    r_image = rng.uniform(0.5, 60.0)
+    r_tail_lo = r_image * rng.uniform(1.0, 2.0)
+    return BuildParams(
+        r_image=r_image,
+        r_tail_lo=r_tail_lo,
+        r_tail_hi=r_tail_lo + rng.uniform(1.0, 2000.0),
+        grid_step=10.0 ** rng.uniform(-2.5, -0.5),
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [BUILD_PARAMS, SMALL, *(_random_params(np.random.default_rng(seed)) for seed in range(20))],
+    ids=["default", "SMALL", *(f"random-{seed}" for seed in range(20))],
+)
+def test_criterion_6_quarter_step_tail_matches_the_direct_formula(p):
+    got = _quarter_step_tail(p)
+    assert got.dtype == np.float64 and got.tobytes() == _dense_tail(p).tobytes()
+
+
 def test_criterion_6_streamed_cover_equals_the_one_shot_value():
     model = build_compactification(TWO_COORD_FAMILY, SMALL)
     centers = model.remainder_centers()
     # SMALL's oracle fits one block; a ten times finer one spans several,
     # the last of them partial.
-    for params in (_dense_tail(SMALL), _dense_tail(replace(SMALL, grid_step=0.005))):
+    for params in (_quarter_step_tail(SMALL), _quarter_step_tail(replace(SMALL, grid_step=0.005))):
         oracle = model.embedding.embed_array(params)
         one_shot = capped_distance(oracle[:, None, :], centers[None, :, :]).min(axis=1).max()
         assert _oracle_cover(model.embedding, params, centers) == float(one_shot)

@@ -166,11 +166,10 @@ def test_compare_self_yields_identity_witness(small_model_file, capsys):
     assert report["result"]["residual"] == 0.0
 
 
-def test_compare_accepts_short_flag_spelling(small_model_file, capsys):
-    rc = run(["compare", "--a", small_model_file, "--b", small_model_file])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["result"]["comparable"] is True
+def test_compare_has_no_short_flag_spelling(small_model_file, capsys):
+    rc = run(["compare", "--a", small_model_file, "--smaller", small_model_file])
+    assert rc == 2
+    assert "--larger" in _one_line_error(capsys)
 
 
 def test_compare_unrelated_models_is_negative(tmp_path, small_model_file, capsys):
@@ -379,6 +378,13 @@ def _huge_center(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _empty_image_grid(h, image, labels):
+    # grid_step beyond 2 * r_image, though round(2 * r_image / grid_step)
+    # is 1: refused as an empty grid, not as an image-shape mismatch
+    h["params"]["grid_step"] = 2.5 * h["params"]["r_image"]
+    return _cptf2(h, image, labels)
+
+
 def _huge_param(h, image, labels):
     h["params"]["grid_step"] = 10**400
     return _cptf2(h, image, labels)
@@ -434,6 +440,7 @@ BAD_CPTF2 = {
     "infinite center": (_infinite_center, "cluster 1 center is not finite"),
     "400-digit center": (_huge_center, "int too large to convert to float"),
     "400-digit param": (_huge_param, "grid_step must be a number, got 1000"),
+    "empty image grid": (_empty_image_grid, "image grid is empty"),
     "400-digit family field": (_huge_family_field, "Cos.b must be a number, got -1000"),
 }
 
@@ -710,7 +717,7 @@ def test_a_plain_runtime_error_keeps_its_traceback(tmp_path, small_model_file, m
 
 def test_every_report_carries_command_seed_and_workers(tmp_path, small_model_file):
     out = tmp_path / "r.json"
-    argv = ["compare", "--a", small_model_file, "--b", small_model_file]
+    argv = ["compare", "--larger", small_model_file, "--smaller", small_model_file]
     assert run([*argv, "--json-report", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report) == {"header", "config", "result"}

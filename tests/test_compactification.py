@@ -14,8 +14,6 @@ from compactify.compactification import (
     EmbeddingMap,
     Membership,
     _UPDATE_BOXES,
-    _image_grid,
-    _tail_grids,
     build_compactification,
     closure_membership,
     greedy_cluster,
@@ -40,7 +38,38 @@ def test_build_params_validation():
         BuildParams(cluster_radius=-1.0)
     p = BuildParams()
     assert p.tail_step == 10.0 * p.grid_step
+    assert p.resolution == 2.0 * p.cluster_radius
     assert BuildParams.from_json(p.to_json()) == p
+
+
+# On this window the image grid empties past grid_step 2, the tail grids
+# once round(0.4 / grid_step) is 0, at 0.8 and past.
+NARROW = dict(r_image=1.0, r_tail_lo=1.0, r_tail_hi=5.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(grid_step=150.0), "image grid is empty"),  # the tails still have 2 steps
+        (dict(grid_step=math.nextafter(100.0, math.inf)), "image grid is empty"),
+        (dict(grid_step=0.8, **NARROW), "tail grid is empty"),
+        (dict(grid_step=1.0, **NARROW), "tail grid is empty"),
+        (dict(grid_step=3.0, **NARROW), "image grid is empty"),  # both empty
+    ],
+)
+def test_build_params_reject_empty_grids(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BuildParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, counts",
+    [(dict(grid_step=100.0), (2, 6)), (dict(grid_step=0.79, **NARROW), (4, 4))],
+)
+def test_build_params_keep_grids_of_one_step(kwargs, counts):
+    p = BuildParams(**kwargs)
+    assert p.sample_counts() == counts
+    assert (p.image_grid().size, p.tail_grid().size) == counts
 
 
 PARAM_FIELDS = ("r_image", "r_tail_lo", "r_tail_hi", "grid_step", "cluster_radius")
@@ -123,7 +152,7 @@ def _dense_greedy_cluster(points, radius):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_greedy_cluster_matches_dense_search_on_chain_tails(depth):
-    tail = EmbeddingMap(chain_family(depth)).embed_array(np.concatenate(_tail_grids(SMALL)))
+    tail = EmbeddingMap(chain_family(depth)).embed_array(SMALL.tail_grid())
     got = greedy_cluster(tail, SMALL.cluster_radius)
     assert np.array_equal(got, _dense_greedy_cluster(tail, SMALL.cluster_radius))
 
@@ -174,7 +203,7 @@ def test_greedy_cluster_rejects_non_finite_points(bad):
 
 def test_cluster_assembly_matches_the_per_label_mask_loop():
     model = build_compactification(chain_family(3), SMALL)
-    tail_params = np.concatenate(_tail_grids(SMALL))
+    tail_params = SMALL.tail_grid()
     tail_points = model.embedding.embed_array(tail_params)
     labels = greedy_cluster(tail_points, SMALL.cluster_radius)
     assert len(model.remainder) == labels.max() + 1
@@ -268,9 +297,8 @@ def test_greedy_cluster_matches_dense_search_on_small_clouds(data):
 
 
 def test_build_rejects_step_wider_than_window():
-    params = BuildParams(r_image=1.0, r_tail_lo=1.0, r_tail_hi=5.0, grid_step=3.0)
     with pytest.raises(ValueError, match="image grid is empty"):
-        build_compactification((Tanh(),), params)
+        build_compactification((Tanh(),), BuildParams(grid_step=3.0, **NARROW))
 
 
 def test_build_is_deterministic_and_recomputable(small_gamma):
@@ -420,8 +448,8 @@ def test_tanh_led_centers_hug_the_lead_endpoints(two_point_model, gamma_model):
 
 
 def test_build_params_bound_the_sample_count():
-    image, minus, plus = _image_grid(BuildParams()), *_tail_grids(BuildParams())
-    assert image.size + minus.size + plus.size == 490_003  # the default window
+    p = BuildParams()
+    assert p.image_grid().size + p.tail_grid().size == 490_003  # the default window
     # On this window a build samples 2.2 / grid_step + 3 parameters.
     window = dict(r_image=1.0, r_tail_lo=1.0, r_tail_hi=2.0)
     BuildParams(grid_step=2.2 / (MAX_SAMPLES - 1000), **window)

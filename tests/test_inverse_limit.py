@@ -112,7 +112,7 @@ def test_lift_recovers_the_parameter_thread(two_level):
     lower = two_level.levels[0]
     idx = 17
     p0 = ProductPoint(tuple(lower.image_points[idx]), lower.space)
-    th = lift_point(two_level, 0, p0, tol=1e-6)
+    th = lift_point(two_level, 0, p0)
     x = float(lower.image_params[idx])
     expected = make_thread_from_parameter(two_level, x)
     assert th[0].coords == p0.coords
@@ -128,36 +128,33 @@ def test_lift_downward_entries_are_exact_bond_images(two_level):
     assert th[0].coords == apply_bond(two_level, 0, p1).coords
 
 
-def test_lift_fails_loudly_on_sparse_upper_levels():
+@pytest.fixture(scope="module")
+def sparse_upper():
+    """A fine tanh level under a (tanh, cos) level sampled at unit steps:
+    near x = 0.5, tanh moves 0.3 between neighbouring upper samples, three
+    times the upper level's resolution."""
     fine = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=1e-3)
-    coarse = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=0.05)
-    system = InverseSystem.from_levels(
+    sparse = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=1.0)
+    return InverseSystem.from_levels(
         [
             build_compactification((Tanh(),), fine),
-            build_compactification((Tanh(), Cos()), coarse),
+            build_compactification((Tanh(), Cos()), sparse),
         ]
     )
-    lower = system.levels[0]
-    idx = int(np.argmin(np.abs(lower.image_params - 0.001)))
+
+
+def test_lift_fails_loudly_on_sparse_upper_levels(sparse_upper):
+    lower = sparse_upper.levels[0]
+    idx = int(np.argmin(np.abs(lower.image_params - 0.5)))
     p0 = ProductPoint(tuple(lower.image_points[idx]), lower.space)
     with pytest.raises(LiftError, match="level 1"):
-        lift_point(system, 0, p0, tol=1e-5)
+        lift_point(sparse_upper, 0, p0)
 
 
 def test_lift_rejects_points_far_from_the_model(two_level):
     off = ProductPoint((0.0, 0.0), two_level.levels[1].space)
     with pytest.raises(ValueError, match="away from the level-1 model"):
         lift_point(two_level, 1, off)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5])
-def test_lift_rejects_a_tolerance_that_is_not_positive_and_finite(two_level, tol):
-    # A NaN tolerance used to pass every comparison and thread a far point.
-    off = ProductPoint((0.0, 0.0), two_level.levels[1].space)
-    on = two_level.levels[1].embed(0.5)
-    for p in (off, on):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            lift_point(two_level, 1, p, tol=tol)
 
 
 def test_chain_limit_unions_the_families(two_level):
@@ -233,10 +230,10 @@ def _dense_candidates(model):
     return np.vstack([model.image_points, centers])
 
 
-def _dense_lift_point(system, n, p, tol=None):
+def _dense_lift_point(system, n, p):
     # The lift before box pruning and caching: every candidate of every
     # upper level is pushed through its bond and scanned.
-    base_tol = tol if tol is not None else 2.0 * system.levels[n].params.cluster_radius
+    base_tol = 2.0 * system.levels[n].params.cluster_radius
     near = float(distances_to_cloud(p.as_array(), _dense_candidates(system.levels[n])).min())
     if near > base_tol:
         raise ValueError(
@@ -247,7 +244,7 @@ def _dense_lift_point(system, n, p, tol=None):
         entries[i - 1] = apply_bond(system, i - 1, entries[i])
     for i in range(n, system.depth - 1):
         model_up = system.levels[i + 1]
-        level_tol = tol if tol is not None else 2.0 * model_up.params.cluster_radius
+        level_tol = 2.0 * model_up.params.cluster_radius
         candidates = _dense_candidates(model_up)
         dists = distances_to_cloud(entries[i].as_array(), apply_witness(system.bonds[i], candidates))
         best = int(np.argmin(dists))
@@ -261,9 +258,9 @@ def _dense_lift_point(system, n, p, tol=None):
     return Thread(tuple(entries[i] for i in range(system.depth)))
 
 
-def _outcome(lift, system, n, p, tol=None):
+def _outcome(lift, system, n, p):
     try:
-        return lift(system, n, p, tol)
+        return lift(system, n, p)
     except (LiftError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -307,35 +304,30 @@ def test_lift_matches_the_dense_lift_on_every_level(wide_chain, which):
     assert lifts > 100
 
 
-def test_lift_error_texts_are_unchanged_on_a_coarse_window():
-    fine = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=1e-3)
-    coarse = BuildParams(r_image=5.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=0.05)
-    system = InverseSystem.from_levels(
-        [
-            build_compactification((Tanh(),), fine),
-            build_compactification((Tanh(), Cos()), coarse),
-        ]
-    )
-    lower = system.levels[0]
+def test_lift_error_texts_are_unchanged_on_a_coarse_window(sparse_upper):
+    system = sparse_upper
+    lower, upper = system.levels
     kinds = set()
     for idx in range(1, lower.image_points.shape[0], 250):
         p0 = ProductPoint(tuple(lower.image_points[idx]), lower.space)
-        for tol in (1e-5, 1e-3, None):
-            got = _outcome(lift_point, system, 0, p0, tol)
-            assert got == _outcome(_dense_lift_point, system, 0, p0, tol)
-            kinds.add(got[0] if isinstance(got, tuple) else Thread)
-    off = ProductPoint((0.0, 0.0), system.levels[1].space)
+        got = _outcome(lift_point, system, 0, p0)
+        assert got == _outcome(_dense_lift_point, system, 0, p0)
+        kinds.add(got[0] if isinstance(got, tuple) else Thread)
+    off = ProductPoint((0.0, 0.0), upper.space)
     got = _outcome(lift_point, system, 1, off)
     assert got == _outcome(_dense_lift_point, system, 1, off)
     kinds.add(got[0])
     assert kinds == {LiftError, ValueError, Thread}
-    # a remainder center is a candidate itself, though no image point lies
-    # within this tolerance of it
+    # a remainder center is a candidate itself: each lower center lifts
+    # onto an upper center, which lies nearer to it than tanh 5, the
+    # sparse image grid's last point
+    centers = [tuple(c.center) for c in upper.remainder]
     for n, model in enumerate(system.levels):
         for c in model.remainder:
             p = c.center_point(model.space)
-            assert _outcome(lift_point, system, n, p, 1e-6) == _outcome(_dense_lift_point, system, n, p, 1e-6)
-            assert n == 0 or isinstance(lift_point(system, n, p, 1e-6), Thread)
+            thread = lift_point(system, n, p)
+            assert thread == _outcome(_dense_lift_point, system, n, p)
+            assert thread[1].coords in centers
 
 
 def test_cache_entries_die_with_their_system_and_models():
