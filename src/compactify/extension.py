@@ -9,10 +9,16 @@ stays macroscopic (no continuous extension can exist).
 """
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import threading
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from .product_space import distances_to_cloud
 
 __all__ = [
     "DEFAULT_DELTAS",
+    "MAX_DELTAS",
     "PASS_THRESHOLD",
     "FAIL_THRESHOLD",
     "MIN_FAIL_WITNESSES",
@@ -33,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_DELTAS: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01)
+# A report holds a row per cluster and radius, so the ladder is bounded.
+MAX_DELTAS = 64
 PASS_THRESHOLD = 0.05
 FAIL_THRESHOLD = 0.5
 # A cluster may only carry a failure verdict when enough witnesses back it.
@@ -50,8 +59,7 @@ class InsufficientWitnessesError(RuntimeError):
     """A cluster had no witnesses inside the smallest probe radius."""
 
 
-@dataclass(frozen=True)
-class OscillationRow:
+class OscillationRow(NamedTuple):
     """Witness statistics of one cluster at one probe radius."""
 
     delta: float
@@ -85,16 +93,7 @@ class ExtensionReport:
             "oscillation": self.oscillation,
             "witness_count": self.witness_count,
             "tables": {
-                str(cid): [
-                    {
-                        "delta": row.delta,
-                        "count": row.count,
-                        "oscillation": row.oscillation,
-                        "midpoint": row.midpoint,
-                    }
-                    for row in rows
-                ]
-                for cid, rows in self.tables.items()
+                str(cid): [row._asdict() for row in rows] for cid, rows in self.tables.items()
             },
         }
 
@@ -103,6 +102,8 @@ def _validate_deltas(deltas) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValueError("need at least one probe radius")
+    if len(deltas) > MAX_DELTAS:
+        raise ValueError(f"at most {MAX_DELTAS} probe radii, got {len(deltas)}")
     if not all(0 < d < math.inf for d in deltas):  # NaN fails too
         raise ValueError("probe radii must be positive and finite")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
@@ -115,18 +116,23 @@ class _WitnessShells:
     """The probe-independent part of an extend-check on one model.
 
     ``counts[c, k]`` is the number of cluster c's witnesses whose
-    embeddings lie within ``deltas[k]`` of its center.  ``witnesses``
-    holds, cluster by cluster, those within ``deltas[0]``, stably sorted
-    innermost shell first, so a cluster's ones within ``deltas[k]`` are
-    the first ``counts[c, k]`` of its run.  The array splits into
-    (cluster, shell) segments, cluster by cluster and innermost shell
-    first; segment i starts at ``bounds[i]``, and ``bounds[-1]`` is the
-    total.  ``empty`` marks the segments that hold no witness.
+    embeddings lie within ``deltas[k]`` of its center.  Laid end to end,
+    ``pieces`` hold, cluster by cluster, those within ``deltas[0]``,
+    stably sorted innermost shell first, so a cluster's ones within
+    ``deltas[k]`` are the first ``counts[c, k]`` of its run.  A cluster
+    that lies wholly inside the innermost shell is a piece of its own,
+    its witnesses referenced, not copied; each run of other clusters is
+    one joined piece.  Piece i starts at ``starts[i]`` of the sequence.
+    The sequence splits into (cluster, shell) segments, cluster by
+    cluster and innermost shell first; segment i starts at ``bounds[i]``,
+    and ``bounds[-1]`` is the total.  ``empty`` marks the segments that
+    hold no witness.
     """
 
     deltas: tuple[float, ...]
     counts: np.ndarray  # (clusters, deltas) int
-    witnesses: np.ndarray  # (bounds[-1],) tail parameters
+    pieces: tuple[np.ndarray, ...]  # tail parameters
+    starts: tuple[int, ...]  # (pieces + 1,), ending with the total
     bounds: np.ndarray  # (clusters * deltas + 1,) int
     empty: np.ndarray  # (clusters, deltas) bool, segments innermost first
 
@@ -134,6 +140,8 @@ class _WitnessShells:
 # f is evaluated in blocks of this many witnesses: its temporaries then
 # stay small enough to reuse memory instead of faulting in fresh pages.
 _EVAL_BLOCK = 65_536
+# A witness pass runs on at most this many threads.
+_MAX_PARTS = 8
 
 # One slot per model, for the ladder it was last checked with.  Models
 # hash by identity (eq=False) and are held weakly, so an entry dies with
@@ -142,40 +150,128 @@ _EVAL_BLOCK = 65_536
 _SHELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _part_count(witnesses: int) -> int:
+    """How many parts a pass over ``witnesses`` witnesses is cut into: one
+    per CPU this process may run on, at most ``_MAX_PARTS``, and none
+    shorter than ``_EVAL_BLOCK`` witnesses."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # not offered on every platform
+        cpus = 1
+    return max(1, min(cpus, _MAX_PARTS, witnesses // _EVAL_BLOCK))
+
+
+def _in_parts(work, runs: list[tuple[int, int]]) -> list:
+    """``[work(a, b) for a, b in runs]``, the first run in this thread and
+    each other on a thread started here, in a copy of this thread's
+    context.  Every thread is joined before this returns; then the first
+    run's error in order, if any, is raised again."""
+    results: list = [None] * len(runs)
+    errors: list = [None] * len(runs)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = work(*runs[i])
+        except BaseException as exc:  # raised again in the calling thread
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(runs)):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> _WitnessShells:
     """The model's shells for ``deltas``: cached, or computed and cached."""
     shells = _SHELLS.get(model)
     if shells is not None and shells.deltas == deltas:
         return shells
-    depth_type = np.min_scalar_type(len(deltas))
     counts = np.empty((len(model.remainder), len(deltas)), dtype=np.int64)
-    parts = []
+    kept = []  # (whole, witnesses within deltas[0]) per cluster
     for c, cluster in enumerate(model.remainder):
         points = model.embedding.embed_array(cluster.witnesses)
         dist = distances_to_cloud(cluster.center, points)
         # A witness lies within all but the last ``depth`` radii of the
         # decreasing ladder; depth 0 is the innermost shell.  The narrow
-        # dtype lets the stable sort run as a radix sort.
-        depth = np.full(dist.shape[0], len(deltas), dtype=depth_type)
+        # dtype, which MAX_DELTAS fits, lets the stable sort run as a
+        # radix sort.
+        depth = np.full(dist.shape[0], len(deltas), dtype=np.uint8)
         for k, delta in enumerate(deltas):
             within = dist < delta
             counts[c, k] = np.count_nonzero(within)
             depth -= within
         if counts[c, -1] == depth.shape[0]:
-            parts.append(cluster.witnesses)  # all in the innermost shell
+            kept.append((True, cluster.witnesses))  # all in the innermost shell
         else:
             order = np.argsort(depth, kind="stable")[: counts[c, 0]]
-            parts.append(cluster.witnesses[order])
+            kept.append((False, cluster.witnesses[order]))
+    pieces = []
+    for whole, run in itertools.groupby(kept, key=lambda k: k[0]):
+        arrays = [w for _, w in run]
+        pieces.extend(arrays if whole else [np.concatenate(arrays)])
     sizes = np.diff(counts[:, ::-1], axis=1, prepend=0)  # innermost shell first
     shells = _WitnessShells(
         deltas=deltas,
         counts=counts,
-        witnesses=np.concatenate(parts),
+        pieces=tuple(pieces),
+        starts=tuple(itertools.accumulate((len(w) for w in pieces), initial=0)),
         bounds=np.concatenate([[0], np.cumsum(sizes)]),
         empty=sizes == 0,
     )
     _SHELLS[model] = shells
     return shells
+
+
+def _segment_extremes(shells: _WitnessShells, f: FunctionDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The min and max of f over each (cluster, shell) segment, shaped like
+    ``counts``; an empty segment has min inf and max -inf.
+
+    The witnesses are cut into contiguous parts.  Each part evaluates f
+    into its own slice of one values array and reduces the segments it
+    meets; a segment cut by a part boundary gets the min and max of its
+    parts' extremes, which is exact, since min and max do not depend on
+    the order of their operands.
+    """
+    pieces, starts, bounds = shells.pieces, shells.starts, shells.bounds
+    total = starts[-1]
+    values = np.empty(total)
+
+    def extremes(a: int, b: int) -> tuple[int, np.ndarray, np.ndarray]:
+        for i in range(bisect_right(starts, a) - 1, bisect_left(starts, b)):
+            begin, end = max(a, starts[i]), min(b, starts[i + 1])
+            for start in range(begin, end, _EVAL_BLOCK):
+                stop = min(start + _EVAL_BLOCK, end)
+                values[start:stop] = f.evaluate(pieces[i][start - starts[i] : stop - starts[i]])
+        # The segments that meet [a, b): the one holding a up to the last
+        # one starting before b; empty ones among them are masked later.
+        first = int(np.searchsorted(bounds, a, side="right")) - 1
+        at = np.maximum(bounds[first : np.searchsorted(bounds, b)], a) - a
+        return first, np.minimum.reduceat(values[a:b], at), np.maximum.reduceat(values[a:b], at)
+
+    parts = _part_count(total)
+    cuts = [total * p // parts for p in range(parts + 1)]
+    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    lo = np.full(shells.empty.size, np.inf)
+    hi = np.full(shells.empty.size, -np.inf)
+    for first, part_lo, part_hi in _in_parts(extremes, runs):
+        met = slice(first, first + part_lo.size)
+        np.minimum(lo[met], part_lo, out=lo[met])
+        np.maximum(hi[met], part_hi, out=hi[met])
+    lo = lo.reshape(shells.counts.shape)
+    hi = hi.reshape(shells.counts.shape)
+    lo[shells.empty] = np.inf
+    hi[shells.empty] = -np.inf
+    return lo, hi
 
 
 def check_extendability(
@@ -193,7 +289,8 @@ def check_extendability(
     means f extends numerically, with the min/max midpoint as its value;
     oscillation above ``FAIL_THRESHOLD`` on some cluster with at least
     ``MIN_FAIL_WITNESSES`` witnesses means it cannot extend; anything else
-    is inconclusive, which is a result, not an error.
+    is inconclusive, which is a result, not an error.  At most
+    ``MAX_DELTAS`` radii are accepted.
 
     The probe-independent work is cached per model: the first sampled
     check embeds every witness, measures its distance to its cluster
@@ -205,6 +302,14 @@ def check_extendability(
     model, keyed by the ladder: a check with another ladder replaces it.
     Models are treated as immutable; the cache is never written to a
     model file and dies with its model.
+
+    The pass that evaluates f over the witnesses and reduces the segments
+    is cut into contiguous parts: one per CPU this process may run on, at
+    most ``_MAX_PARTS``, none shorter than ``_EVAL_BLOCK`` witnesses.  The
+    first part runs in the calling thread and each other on a thread
+    started and joined within the call, so no thread outlives it; an
+    error in a part is raised again in the caller.  The report is the one
+    a single thread gives, bit for bit.
     """
     deltas = _validate_deltas(deltas)
     if not model.remainder:
@@ -226,59 +331,49 @@ def check_extendability(
             f"delta={deltas[-1]}; rebuild with a denser tail grid "
             "(smaller grid_step) or a larger smallest delta"
         )
-    xs = shells.witnesses
-    # One slot past the witnesses holds a sentinel, so the bounds can end
-    # with the total and no segment runs on past its end; the sentinel's
-    # own reduction is dropped.
-    values = np.zeros(xs.shape[0] + 1)
-    for start in range(0, xs.shape[0], _EVAL_BLOCK):
-        block = xs[start : start + _EVAL_BLOCK]
-        values[start : start + block.shape[0]] = f.evaluate(block)
-    lo = np.minimum.reduceat(values, shells.bounds)[:-1].reshape(shells.counts.shape)
-    hi = np.maximum.reduceat(values, shells.bounds)[:-1].reshape(shells.counts.shape)
-    lo[shells.empty] = np.inf
-    hi[shells.empty] = -np.inf
+    lo, hi = _segment_extremes(shells, f)
     # Shells run innermost first, so a running min/max over them covers
     # the witnesses within each radius, smallest radius first.
-    lo = np.minimum.accumulate(lo, axis=1)[:, ::-1].tolist()
-    hi = np.maximum.accumulate(hi, axis=1)[:, ::-1].tolist()
+    lo = np.minimum.accumulate(lo, axis=1)[:, ::-1]
+    hi = np.maximum.accumulate(hi, axis=1)[:, ::-1]
+    counts = shells.counts
+    osc = hi - lo
+    with np.errstate(invalid="ignore"):  # inf + -inf where a radius holds no witness
+        mid = 0.5 * (lo + hi)
+    filled = counts > 0
+    cids = [c.cluster_id for c in model.remainder]
+    tables = {
+        cid: tuple(map(OscillationRow, deltas, *row))
+        for cid, *row in zip(
+            cids,
+            counts.tolist(),
+            np.where(filled, osc, None).tolist(),
+            np.where(filled, mid, None).tolist(),
+        )
+    }
+    # Every cluster has a witness within the smallest radius.
+    final_osc = osc[:, -1].tolist()
+    final_count = counts[:, -1].tolist()
 
-    tables: dict[int, tuple[OscillationRow, ...]] = {}
-    final_osc: dict[int, float] = {}
-    final_mid: dict[int, float] = {}
-    final_count: dict[int, int] = {}
-    for cluster, counts, lows, highs in zip(model.remainder, shells.counts.tolist(), lo, hi):
-        rows = []
-        for delta, count, vmin, vmax in zip(deltas, counts, lows, highs):
-            if count == 0:
-                rows.append(OscillationRow(delta, 0, None, None))
-                continue
-            rows.append(OscillationRow(delta, count, vmax - vmin, 0.5 * (vmin + vmax)))
-        tables[cluster.cluster_id] = tuple(rows)
-        last = rows[-1]
-        final_osc[cluster.cluster_id] = last.oscillation
-        final_mid[cluster.cluster_id] = last.midpoint
-        final_count[cluster.cluster_id] = last.count
-
-    if all(o < PASS_THRESHOLD for o in final_osc.values()):
+    if all(o < PASS_THRESHOLD for o in final_osc):
         return ExtensionReport(
             verdict=Verdict.EXTENDS_NUMERICALLY,
             deltas=deltas,
             tables=tables,
-            values=final_mid,
+            values=dict(zip(cids, mid[:, -1].tolist())),
         )
     failing = [
-        cid
-        for cid, o in final_osc.items()
-        if o > FAIL_THRESHOLD and final_count[cid] >= MIN_FAIL_WITNESSES
+        i
+        for i, (o, n) in enumerate(zip(final_osc, final_count))
+        if o > FAIL_THRESHOLD and n >= MIN_FAIL_WITNESSES
     ]
     if failing:
-        worst = max(failing, key=lambda cid: (final_osc[cid], -cid))
+        worst = max(failing, key=lambda i: (final_osc[i], -cids[i]))
         return ExtensionReport(
             verdict=Verdict.FAILS_TO_EXTEND,
             deltas=deltas,
             tables=tables,
-            failing_cluster=worst,
+            failing_cluster=cids[worst],
             oscillation=final_osc[worst],
             witness_count=final_count[worst],
         )
@@ -286,5 +381,5 @@ def check_extendability(
         verdict=Verdict.INCONCLUSIVE,
         deltas=deltas,
         tables=tables,
-        oscillation=max(final_osc.values()),
+        oscillation=max(final_osc),
     )

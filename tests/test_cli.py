@@ -8,13 +8,15 @@ import struct
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compactify import cli, ordering
+from compactify import cli, extension, ordering
 from compactify.cli import run
 from compactify.compactification import load_model
+from compactify.extension import MAX_DELTAS
 from compactify.functions import MAX_CHEB_DEGREE, MAX_DESCRIPTOR_DEPTH, Cos, Tanh
 from compactify.ordering import Incomparable
 
@@ -672,6 +674,23 @@ def test_extend_check_rejects_nan_radii(tmp_path, small_model_file, capsys):
     # An empty list is not an absent flag: it never runs the default ladder.
     assert run([*argv, "--deltas", ""]) == 2
     assert "need at least one probe radius" in _one_line_error(capsys)
+
+
+def test_extend_check_bounds_the_radius_ladder(tmp_path, small_model_file, capsys, monkeypatch):
+    fn = write_json(tmp_path / "f.json", {"kind": "cos", "a": 2.0, "b": 0.0})
+    report = tmp_path / "report.json"
+    argv = ["extend-check", "--model", small_model_file, "--function", fn, "--json-report", str(report)]
+    ladder = ",".join(repr(d) for d in np.geomspace(0.5, 0.01, MAX_DELTAS + 1).tolist())
+    # At the bound the check runs; its verdict does not matter here.
+    assert run([*argv, "--deltas", ladder.rsplit(",", 1)[0]]) != 2
+    assert len(_strict_json(report.read_text())["config"]["deltas"]) == MAX_DELTAS
+    report.unlink()
+    capsys.readouterr()
+    # One past it, nothing is computed and no report is written.
+    monkeypatch.setattr(extension, "_witness_shells", lambda *args: pytest.fail("computed"))
+    assert run([*argv, "--deltas", ladder]) == 2
+    assert f"at most {MAX_DELTAS} probe radii, got {MAX_DELTAS + 1}" in _one_line_error(capsys)
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("ids", ["99", "1,1", "0,42", ""])

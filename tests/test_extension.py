@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import contextvars
 import gc
+import itertools
 import math
+import os
+import sys
+import threading
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +25,7 @@ from compactify.compactification import (
 from compactify.extension import (
     DEFAULT_DELTAS,
     FAIL_THRESHOLD,
+    MAX_DELTAS,
     MIN_FAIL_WITNESSES,
     PASS_THRESHOLD,
     ExtensionReport,
@@ -116,6 +124,15 @@ def test_delta_ladder_validation(gamma_model):
     for deltas in ((math.inf,), (0.2, math.inf, 0.01)):
         with pytest.raises(ValueError, match="positive and finite"):
             check_extendability(gamma_model, Cos(2.0, 0.0), deltas=deltas)
+
+
+def test_ladder_length_is_bounded(gamma_model):
+    ladder = tuple(np.geomspace(0.5, 0.01, MAX_DELTAS + 1).tolist())
+    report = check_extendability(gamma_model, Cos(2.0, 0.0), deltas=ladder[:MAX_DELTAS])
+    assert len(report.deltas) == MAX_DELTAS
+    assert all(len(rows) == MAX_DELTAS for rows in report.tables.values())
+    with pytest.raises(ValueError, match=f"at most {MAX_DELTAS} probe radii, got {MAX_DELTAS + 1}"):
+        check_extendability(gamma_model, Cos(2.0, 0.0), deltas=ladder)
 
 
 def test_report_json_shape(gamma_model):
@@ -301,6 +318,9 @@ def test_insufficient_witnesses_message_is_unchanged():
     with pytest.raises(InsufficientWitnessesError) as cached:
         check_extendability(chain, Cos(math.sqrt(2.0), 0.3), deltas=deltas)
     assert str(cached.value) == str(oracle.value)
+    for parts in (2, 3):
+        got = _check_in_parts(chain, Cos(math.sqrt(2.0), 0.3), deltas, parts)
+        assert got == {"error": str(oracle.value)}
 
 
 def test_checks_leave_the_model_file_unchanged(tmp_path):
@@ -321,3 +341,149 @@ def test_cache_entry_dies_with_its_model():
     del model
     gc.collect()
     assert len(extension._SHELLS) == 0
+
+
+def _check_in_parts(model, f, deltas, parts):
+    """The outcome of a check whose evaluation pass is cut into ``parts``
+    parts, whatever the CPU count."""
+    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+        return _outcome(check_extendability, model, f, deltas)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_every_part_count_matches_the_per_cluster_loop_on_chain_levels(level):
+    model = build_compactification(chain_family(level), SMALL)
+    for deltas in EQUIVALENCE_LADDERS:
+        for f in EQUIVALENCE_PROBES:
+            want = _outcome(_per_cluster_check, model, f, deltas)
+            for parts in (1, 2, 3, len(model.remainder) + 1):
+                assert _check_in_parts(model, f, deltas, parts) == want
+
+
+def test_every_part_count_matches_the_per_cluster_loop_on_one_cluster(one_point_model):
+    assert len(one_point_model.remainder) == 1
+    for f in (Cos(math.sqrt(2.0), 0.3), Tanh(0.5, 1.0), Cheb(3, Cos())):
+        want = _outcome(_per_cluster_check, one_point_model, f, DEFAULT_DELTAS)
+        for parts in (1, 2, 3):
+            assert _check_in_parts(one_point_model, f, DEFAULT_DELTAS, parts) == want
+
+
+def test_automatic_split_at_the_default_window(gamma_model):
+    witnesses = sum(c.witness_count for c in gamma_model.remainder)
+    assert witnesses == 390_002
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert extension._part_count(witnesses) == max(1, min(cpus, extension._MAX_PARTS, 5))
+    assert extension._part_count(extension._EVAL_BLOCK - 1) == 1
+    for f in (Cos(math.sqrt(2.0), 0.0), Cheb(2, Cos())):
+        want = _outcome(_per_cluster_check, gamma_model, f, DEFAULT_DELTAS)
+        assert _outcome(check_extendability, gamma_model, f, DEFAULT_DELTAS) == want
+        assert _check_in_parts(gamma_model, f, DEFAULT_DELTAS, 1) == want
+
+
+def _hand_made_shells(pieces, counts):
+    """Shells of len(counts) clusters whose witnesses, laid end to end, are
+    ``pieces``; ``counts`` as in ``_WitnessShells``."""
+    counts = np.array(counts, dtype=np.int64)
+    sizes = np.diff(counts[:, ::-1], axis=1, prepend=0)
+    lengths = [len(w) for w in pieces]
+    return extension._WitnessShells(
+        deltas=(0.2, 0.1),
+        counts=counts,
+        pieces=tuple(np.array(w, dtype=np.float64) for w in pieces),
+        starts=tuple(np.concatenate([[0], np.cumsum(lengths)]).tolist()),
+        bounds=np.concatenate([[0], np.cumsum(sizes)]),
+        empty=sizes == 0,
+    )
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 6])
+def test_part_boundaries_on_empty_segments_and_between_pieces(parts):
+    # Segments, innermost shell first: cluster 0 holds 3 witnesses in its
+    # inner shell and none in its outer one; cluster 1 none in its inner
+    # shell and 3 in its outer one.  Two empty segments sit at position 3,
+    # where two parts meet, and the second piece starts at position 2.
+    shells = _hand_made_shells([[0.1, -0.3], [0.2, 1.0, -2.0, 0.5]], [[3, 3], [3, 0]])
+    assert shells.bounds.tolist() == [0, 3, 3, 3, 6]
+    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+        lo, hi = extension._segment_extremes(shells, Tanh())
+    values = np.tanh([0.1, -0.3, 0.2, 1.0, -2.0, 0.5])
+    assert lo.tolist() == [[values[:3].min(), math.inf], [math.inf, values[3:].min()]]
+    assert hi.tolist() == [[values[:3].max(), -math.inf], [-math.inf, values[3:].max()]]
+
+
+@dataclass(frozen=True)
+class _FaultyAwayFromTheCaller(Cos):
+    """A cosine whose evaluation fails on every thread but the main one."""
+
+    def evaluate(self, x):
+        if threading.current_thread() is not threading.main_thread():
+            raise ArithmeticError("evaluation failed in a worker part")
+        return super().evaluate(x)
+
+
+def test_an_error_in_a_part_reaches_the_caller(gamma_model):
+    f = _FaultyAwayFromTheCaller(math.sqrt(2.0), 0.0)
+    threads = threading.active_count()
+    for parts in (2, 3):
+        with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+            with pytest.raises(ArithmeticError, match="^evaluation failed in a worker part$"):
+                check_extendability(gamma_model, f)
+        assert threading.active_count() == threads
+    # In one part, all of it in the calling thread, the same probe is fine.
+    assert _check_in_parts(gamma_model, f, DEFAULT_DELTAS, 1) == _outcome(
+        check_extendability, gamma_model, Cos(math.sqrt(2.0), 0.0), DEFAULT_DELTAS
+    )
+
+
+def test_more_parts_than_cores_under_fast_thread_switching(gamma_model):
+    # Parts share one values array, written in disjoint slices; a lost or
+    # misplaced write would change some segment's extremes.
+    want = _outcome(_per_cluster_check, gamma_model, Cheb(2, Cos()), DEFAULT_DELTAS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for parts in (5, 8):
+            assert _check_in_parts(gamma_model, Cheb(2, Cos()), DEFAULT_DELTAS, parts) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parts_run_in_the_callers_context():
+    # numpy keeps its floating-point error state in a context variable, so
+    # every part must see the caller's.
+    var = contextvars.ContextVar("var", default="unset")
+    token = var.set("caller")
+    try:
+        seen = extension._in_parts(lambda a, b: (var.get(), threading.get_ident()), [(0, 1), (1, 2), (2, 3)])
+    finally:
+        var.reset(token)
+    assert [value for value, _ in seen] == ["caller"] * 3
+    assert seen[0][1] == threading.get_ident() != seen[1][1]
+
+
+def test_checks_leave_no_thread_behind(gamma_model):
+    threads = threading.active_count()
+    probes = [Cos(math.sqrt(2.0), 0.0), Cheb(2, Cos()), Tanh(0.5, 1.0), StereoY()]
+    for k in range(20):
+        check_extendability(gamma_model, probes[k % len(probes)])
+        assert threading.active_count() == threads
+    small = build_compactification(chain_family(3), SMALL)
+    for k in range(20):
+        _check_in_parts(small, probes[k % len(probes)], DEFAULT_DELTAS, 3)
+        assert threading.active_count() == threads
+
+
+def test_clusters_inside_the_innermost_shell_are_referenced_not_copied():
+    model = build_compactification((Tanh(),), SMALL)
+    shells = extension._witness_shells(model, DEFAULT_DELTAS)
+    assert len(model.remainder) == 2
+    assert shells.counts[:, -1].tolist() == [c.witness_count for c in model.remainder]
+    assert all(w is c.witnesses for w, c in zip(shells.pieces, model.remainder))
+    # Runs of other clusters are joined copies, one piece per run.
+    chain = build_compactification(chain_family(3), SMALL)
+    shells = extension._witness_shells(chain, DEFAULT_DELTAS)
+    whole = (shells.counts[:, -1] == [c.witness_count for c in chain.remainder]).tolist()
+    assert not all(whole)
+    pieces = sum(len(list(run)) if w else 1 for w, run in itertools.groupby(whole))
+    assert len(shells.pieces) == pieces
+    assert shells.starts[-1] == shells.bounds[-1] == shells.counts[:, 0].sum()
