@@ -182,7 +182,6 @@ def _crit_canonical_remainders(ctx: AcceptanceContext) -> tuple[bool, dict]:
     one_ok = one_centers.shape[0] == 1 and bool(
         np.all(np.abs(one_centers[0] - np.array([0.0, 1.0])) <= 0.01)
     )
-    one_side = one.remainder[0].side if one.remainder else None
 
     two_centers = sorted(float(c.center[0]) for c in two.remainder)
     two_ok = (
@@ -195,8 +194,8 @@ def _crit_canonical_remainders(ctx: AcceptanceContext) -> tuple[bool, dict]:
         one_ok and two_ok,
         {
             "one_point_clusters": int(one_centers.shape[0]),
-            "one_point_center": [float(v) for v in one_centers[0]] if one_centers.shape[0] else None,
-            "one_point_side": one_side,
+            "one_point_center": [float(v) for v in one_centers[0]],
+            "one_point_side": one.remainder[0].side,
             "two_point_clusters": len(two.remainder),
             "two_point_centers": two_centers,
         },
@@ -390,7 +389,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
     agree_sup = 0.0
     for n, model in enumerate(levels):
         for i in coarse_idx:
-            point = ProductPoint(tuple(float(v) for v in model.image_points[i]), model.space)
+            point = ProductPoint(model.image_points[i], model.space)
             try:
                 thread = lift_point(system, n, point)
             except LiftError:

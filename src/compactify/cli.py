@@ -227,9 +227,9 @@ def _cmd_metric_check(args) -> tuple[int, dict, dict]:
 def _cmd_chain_demo(args) -> tuple[int, dict, dict]:
     if not 1 <= args.levels <= MAX_CHAIN_LEVELS:
         raise ValueError(f"chain-demo needs 1 <= --levels <= {MAX_CHAIN_LEVELS}, got {args.levels}")
+    params = _build_params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = _build_params(args)
     levels = [
         build_compactification(chain_family(k), params)
         for k in range(1, args.levels + 1)
@@ -358,7 +358,7 @@ def run(argv=None) -> int:
         code, config, result = args.fn(args)
         # The fixed seed 7 of the unseeded commands and the fixed "workers"
         # keep the config block's shape; both go in the next benchmark
-        # change (ROADMAP item 6).
+        # change (ROADMAP item 1).
         config = {**config, "command": args.command, "seed": getattr(args, "seed", 7), "workers": 1}
         _emit(result, config, started, args.json_report)
         return code

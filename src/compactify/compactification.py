@@ -171,13 +171,26 @@ class RemainderCluster:
     cluster; they all sit within the capture radius of the original seed,
     hence within the build's ``resolution``, twice that radius, of the
     refined (mean) center.  ``side`` records which infinities the
-    witnesses came from.
+    witnesses came from.  Checked once, when made: a cluster has a
+    witness, a side that agrees with them and a finite center, or raises
+    ValueError; the model checks the center's length.
     """
 
     cluster_id: int
     center: np.ndarray
     side: str  # "+inf", "-inf" or "both"
     witnesses: np.ndarray
+
+    def __post_init__(self) -> None:
+        cid = self.cluster_id
+        if self.witnesses.size == 0:
+            raise ValueError(f"cluster {cid} has no witnesses")
+        if self.side != _cluster_side(self.witnesses):
+            raise ValueError(f"cluster {cid} side {self.side!r} disagrees with its witnesses")
+        # A NaN compares false with every tolerance, so it would pass any
+        # check it reached.
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"cluster {cid} center is not finite")
 
     @property
     def witness_count(self) -> int:
@@ -186,19 +199,43 @@ class RemainderCluster:
     def center_point(self, space: Space) -> ProductPoint:
         iv_lo = np.asarray([iv.lo for iv in space])
         iv_hi = np.asarray([iv.hi for iv in space])
-        coords = np.clip(self.center, iv_lo, iv_hi)
-        return ProductPoint(tuple(float(c) for c in coords), space)
+        return ProductPoint(np.clip(self.center, iv_lo, iv_hi), space)
 
 
 @dataclass(frozen=True, eq=False)
 class CompactificationModel:
-    """Finite approximation of the closure of a coordinate embedding."""
+    """Finite approximation of the closure of a coordinate embedding.
+
+    Checked once, when made, and trusted, as immutable, by every later
+    step: a model has clusters with ids 0..k-1 in order, finite image
+    points of shape (image params, dim) and centers of length dim, or
+    raises ValueError.  :func:`save_model` checks only what its format
+    needs.
+    """
 
     embedding: EmbeddingMap
     params: BuildParams
     image_params: np.ndarray  # (M,) parameters of the image grid
     image_points: np.ndarray  # (M, N) their embeddings, row per parameter
     remainder: tuple[RemainderCluster, ...]
+
+    def __post_init__(self) -> None:
+        if not self.remainder:
+            raise ValueError("model has no remainder clusters")
+        ids = [c.cluster_id for c in self.remainder]
+        # 1.0 and True equal 1 but are not ids.
+        if ids != list(range(len(ids))) or any(type(i) is not int for i in ids):
+            raise ValueError("cluster ids must run 0..k-1 in order")
+        shape = (self.image_params.shape[0], self.dim)
+        if self.image_points.shape != shape:
+            raise ValueError(f"image points of shape {self.image_points.shape}, expected {shape}")
+        if not np.isfinite(self.image_points).all():
+            raise ValueError("image points are not all finite")
+        for c in self.remainder:
+            if c.center.shape != (self.dim,):
+                raise ValueError(
+                    f"cluster {c.cluster_id} center has {c.center.size} coordinates, not {self.dim}"
+                )
 
     @property
     def family(self) -> FunctionFamily:
@@ -222,8 +259,6 @@ class CompactificationModel:
         return BoxedCloud.of(self.image_points)
 
     def remainder_centers(self) -> np.ndarray:
-        if not self.remainder:
-            return np.empty((0, self.dim))
         return np.vstack([c.center for c in self.remainder])
 
 
@@ -381,14 +416,11 @@ def closure_membership(
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     arr = p.as_array()
 
-    nearest_center = np.inf
-    centers = model.remainder_centers()
-    if centers.shape[0]:
-        cd = distances_to_cloud(arr, centers)
-        best_c = int(np.argmin(cd))
-        nearest_center = float(cd[best_c])
-        if nearest_center < eps:
-            return Membership("remainder", nearest_center, cluster_id=best_c)
+    cd = distances_to_cloud(arr, model.remainder_centers())
+    best_c = int(np.argmin(cd))
+    nearest_center = float(cd[best_c])
+    if nearest_center < eps:
+        return Membership("remainder", nearest_center, cluster_id=best_c)
 
     best, dist = nearest_in_cloud(arr, model.image_boxes)
     if dist < eps:
@@ -406,23 +438,23 @@ def _witness_labels(model: CompactificationModel) -> np.ndarray:
 
     Raises ValueError unless regrouping the labels as :func:`load_model`
     does gives back each cluster's witnesses exactly: the witnesses must
-    tile the tail grid, and each cluster's must be in grid order.
+    tile the tail grid, and each cluster's must be in grid order.  Once
+    they tile the grid, whose parameters increase strictly, a cluster's
+    witnesses are in grid order exactly when they increase strictly.
     """
     k = len(model.remainder)
     tail = model.params.tail_grid()
-    dtype = _label_dtype(k)
-    counts = [c.witness_count for c in model.remainder]
-    witnesses = np.concatenate([c.witnesses for c in model.remainder] or [np.empty(0)])
+    witnesses = np.concatenate([c.witnesses for c in model.remainder])
     order = np.argsort(witnesses, kind="stable")
-    if 0 in counts or witnesses.shape != tail.shape or not np.array_equal(witnesses[order], tail):
+    if witnesses.shape != tail.shape or not np.array_equal(witnesses[order], tail):
         raise ValueError("cannot save model: its witnesses do not tile the tail grid")
-    labels = np.repeat(np.arange(k, dtype=dtype), counts)[order]
-    for c, members in zip(model.remainder, _members(labels, k)):
-        if not np.array_equal(tail[members], c.witnesses):
+    for c in model.remainder:
+        if not (np.diff(c.witnesses) > 0).all():
             raise ValueError(
                 f"cannot save model: the witnesses of cluster {c.cluster_id} are not in grid order"
             )
-    return labels
+    counts = [c.witness_count for c in model.remainder]
+    return np.repeat(np.arange(k, dtype=_label_dtype(k)), counts)[order]
 
 
 def save_model(model: CompactificationModel, path) -> None:
@@ -433,33 +465,19 @@ def save_model(model: CompactificationModel, path) -> None:
     cluster's id, side and center), the image points as raw little-endian
     float64, and one label per tail grid parameter.  Image parameters and
     witnesses are not stored: they are the image grid, and each cluster's
-    tail parameters in grid order.  A model the format cannot reproduce
-    exactly, or with a value that is not finite, raises ValueError, and
-    nothing is written.
+    tail parameters in grid order.  The model checked itself when made,
+    so save checks only that the format can reproduce it: the image
+    parameters are the image grid, and the witnesses tile the tail grid
+    in grid order.  Otherwise ValueError, and nothing is written.
     """
-    grid = model.params.image_grid()
-    if not np.array_equal(model.image_params, grid):
+    if not np.array_equal(model.image_params, model.params.image_grid()):
         raise ValueError("cannot save model: its image parameters are not the image grid")
-    shape = (grid.shape[0], model.dim)
-    if model.image_points.shape != shape:
-        raise ValueError(
-            f"cannot save model: image points of shape {model.image_points.shape}, expected {shape}"
-        )
-    if [c.cluster_id for c in model.remainder] != list(range(len(model.remainder))):
-        raise ValueError("cannot save model: cluster ids must run 0..k-1 in order")
-    if not np.isfinite(model.image_points).all():
-        raise ValueError("cannot save model: image points are not all finite")
     labels = _witness_labels(model)
-    for c in model.remainder:
-        if c.side != _cluster_side(c.witnesses):
-            raise ValueError(f"cannot save model: cluster {c.cluster_id} has side {c.side!r}")
-        if not np.isfinite(c.center).all():
-            raise ValueError(f"cannot save model: cluster {c.cluster_id} center is not finite")
     header = json.dumps(
         {
             "family": model.family.to_json(),
             "params": model.params.to_json(),
-            "image_shape": list(shape),
+            "image_shape": list(model.image_points.shape),
             "label_dtype": _label_dtype(len(model.remainder)),
             "clusters": [
                 {"cluster_id": c.cluster_id, "side": c.side, "center": [float(v) for v in c.center]}
@@ -483,7 +501,9 @@ def load_model(path) -> CompactificationModel:
     A file that is not a model, or is truncated, over-long or inconsistent
     with its own header, raises one ValueError naming the file.  Every size
     follows from the header's params, which ``MAX_SAMPLES`` bounds, and is
-    checked against the file size before anything is allocated.
+    checked against the file size before anything is allocated.  The
+    model's own invariants are checked as the model is made, and reported
+    the same way.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
@@ -529,8 +549,6 @@ def _read_cptf2(fh) -> CompactificationModel:
     if not isinstance(clusters, list):
         raise TypeError(f"clusters must be a list, not {type(clusters).__name__}")
     k = len(clusters)
-    if [c["cluster_id"] for c in clusters] != list(range(k)):
-        raise ValueError("cluster ids must run 0..k-1 in order")
 
     # Sizes are checked against the file before anything is allocated.
     image_bytes = rows * len(family) * 8
@@ -542,46 +560,26 @@ def _read_cptf2(fh) -> CompactificationModel:
         raise ValueError(
             f"label section holds {label_bytes} bytes, not {tails} labels of {itemsize} bytes"
         )
-    image_params = params.image_grid()
-    tail = params.tail_grid()
     image_points = np.empty(shape, dtype="<f8")
     labels = np.empty(tails, dtype=dtype)
     _read_into(fh, image_points, "image section")
     _read_into(fh, labels, "label section")
-    # A NaN compares false with every tolerance, so it would pass any
-    # check it reached.
-    if not np.isfinite(image_points).all():
-        raise ValueError("image points are not all finite")
 
     if int(labels.max()) >= k:
         raise ValueError(f"label {int(labels.max())} is not below the cluster count {k}")
-    groups = _members(labels, k)
+    tail = params.tail_grid()
     return CompactificationModel(
         embedding=EmbeddingMap(family),
         params=params,
-        image_params=image_params,
+        image_params=params.image_grid(),
         image_points=image_points,
         remainder=tuple(
-            _checked_cluster(cid, c, tail[members], len(family))
-            for cid, (c, members) in enumerate(zip(clusters, groups))
+            RemainderCluster(
+                c["cluster_id"], np.asarray(c["center"], dtype=np.float64), c["side"], tail[members]
+            )
+            for c, members in zip(clusters, _members(labels, k))
         ),
     )
-
-
-def _checked_cluster(cid: int, c: dict, witnesses: np.ndarray, dim: int) -> RemainderCluster:
-    """Cluster ``cid`` of a model file from its header entry ``c``, once it
-    has witnesses, its side agrees with them and its center has ``dim``
-    finite coordinates."""
-    if witnesses.size == 0:
-        raise ValueError(f"cluster {cid} has no witnesses")
-    if c["side"] != _cluster_side(witnesses):
-        raise ValueError(f"cluster {cid} side {c['side']!r} disagrees with its witnesses")
-    center = np.asarray(c["center"], dtype=np.float64)
-    if center.shape != (dim,):
-        raise ValueError(f"cluster {cid} center has {center.size} coordinates, not {dim}")
-    if not np.isfinite(center).all():
-        raise ValueError(f"cluster {cid} center is not finite")
-    return RemainderCluster(cid, center, c["side"], witnesses)
 
 
 def write_remainder_csv(model: CompactificationModel, path) -> None:

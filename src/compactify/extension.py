@@ -312,8 +312,6 @@ def check_extendability(
     a single thread gives, bit for bit.
     """
     deltas = _validate_deltas(deltas)
-    if not model.remainder:
-        raise ValueError("model has no remainder clusters to test against")
     for j, g in enumerate(model.family):
         if g == f:
             return ExtensionReport(
@@ -327,7 +325,7 @@ def check_extendability(
     short = np.flatnonzero(shells.counts[:, -1] == 0)
     if short.size:
         raise InsufficientWitnessesError(
-            f"cluster {model.remainder[short[0]].cluster_id} has no witnesses within "
+            f"cluster {short[0]} has no witnesses within "
             f"delta={deltas[-1]}; rebuild with a denser tail grid "
             "(smaller grid_step) or a larger smallest delta"
         )
@@ -341,15 +339,10 @@ def check_extendability(
     with np.errstate(invalid="ignore"):  # inf + -inf where a radius holds no witness
         mid = 0.5 * (lo + hi)
     filled = counts > 0
-    cids = [c.cluster_id for c in model.remainder]
+    oscs, mids = np.where(filled, osc, None).tolist(), np.where(filled, mid, None).tolist()
     tables = {
-        cid: tuple(map(OscillationRow, deltas, *row))
-        for cid, *row in zip(
-            cids,
-            counts.tolist(),
-            np.where(filled, osc, None).tolist(),
-            np.where(filled, mid, None).tolist(),
-        )
+        c: tuple(map(OscillationRow, deltas, *row))
+        for c, row in enumerate(zip(counts.tolist(), oscs, mids))
     }
     # Every cluster has a witness within the smallest radius.
     final_osc = osc[:, -1].tolist()
@@ -360,7 +353,7 @@ def check_extendability(
             verdict=Verdict.EXTENDS_NUMERICALLY,
             deltas=deltas,
             tables=tables,
-            values=dict(zip(cids, mid[:, -1].tolist())),
+            values=dict(enumerate(mid[:, -1].tolist())),
         )
     failing = [
         i
@@ -368,12 +361,12 @@ def check_extendability(
         if o > FAIL_THRESHOLD and n >= MIN_FAIL_WITNESSES
     ]
     if failing:
-        worst = max(failing, key=lambda i: (final_osc[i], -cids[i]))
+        worst = max(failing, key=lambda i: (final_osc[i], -i))
         return ExtensionReport(
             verdict=Verdict.FAILS_TO_EXTEND,
             deltas=deltas,
             tables=tables,
-            failing_cluster=cids[worst],
+            failing_cluster=worst,
             oscillation=final_osc[worst],
             witness_count=final_count[worst],
         )

@@ -66,7 +66,9 @@ class InverseSystem:
         row k is the image of candidate k.  Computed for every bond on first
         use and kept with the system, which is treated as immutable."""
         return tuple(
-            BoxedCloud.of(apply_witness(bond, _level_candidates(upper)))
+            BoxedCloud.of(
+                apply_witness(bond, np.vstack([upper.image_points, upper.remainder_centers()]))
+            )
             for upper, bond in zip(self.levels[1:], self.bonds)
         )
 
@@ -110,7 +112,7 @@ def apply_bond(system: InverseSystem, n: int, p: ProductPoint) -> ProductPoint:
     if p.space != system.levels[n + 1].space:
         raise ValueError("point does not live at the bond's source level")
     row = apply_witness(system.bonds[n], p.as_array())
-    return ProductPoint(tuple(float(v) for v in row), system.levels[n].space)
+    return ProductPoint(row, system.levels[n].space)
 
 
 def thread_residuals(system: InverseSystem, thread: Thread) -> list[float]:
@@ -126,13 +128,6 @@ def thread_residuals(system: InverseSystem, thread: Thread) -> list[float]:
 def make_thread_from_parameter(system: InverseSystem, x: float) -> Thread:
     """The thread of embeddings of one real parameter at every level."""
     return Thread(tuple(level.embed(x) for level in system.levels))
-
-
-def _level_candidates(model: CompactificationModel) -> np.ndarray:
-    centers = model.remainder_centers()
-    if centers.shape[0] == 0:
-        return model.image_points
-    return np.vstack([model.image_points, centers])
 
 
 def _candidate(model: CompactificationModel, k: int) -> np.ndarray:
@@ -186,9 +181,7 @@ def lift_point(system: InverseSystem, n: int, p: ProductPoint) -> Thread:
                 f"of the level-{i} entry (closest: {dist:.3e}); "
                 "the sampling at that level is too sparse"
             )
-        entries[i + 1] = ProductPoint(
-            tuple(float(v) for v in _candidate(model_up, best)), model_up.space
-        )
+        entries[i + 1] = ProductPoint(_candidate(model_up, best), model_up.space)
     return Thread(tuple(entries[i] for i in range(system.depth)))
 
 

@@ -339,6 +339,14 @@ def _swap_first_ids(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _second_id_set(value):
+    def damage(h, image, labels):
+        h["clusters"][1]["cluster_id"] = value
+        return _cptf2(h, image, labels)
+
+    return damage
+
+
 def _flip_first_side(h, image, labels):
     h["clusters"][0]["side"] = "both" if h["clusters"][0]["side"] != "both" else "+inf"
     return _cptf2(h, image, labels)
@@ -434,6 +442,9 @@ BAD_CPTF2 = {
     ),
     "empty cluster": (_empty_last_cluster, "has no witnesses"),
     "cluster ids out of order": (_swap_first_ids, "cluster ids must run 0..k-1"),
+    # Both compare equal to 1, yet neither is an integer id.
+    "float cluster id": (_second_id_set(1.0), "cluster ids must run 0..k-1"),
+    "boolean cluster id": (_second_id_set(True), "cluster ids must run 0..k-1"),
     "side that disagrees": (_flip_first_side, "disagrees with its witnesses"),
     "center short of a coordinate": (_drop_a_center_coordinate, "center has 1 coordinates, not 2"),
     "NaN image point": (_image_float_set(5, math.nan), "image points are not all finite"),
@@ -857,15 +868,30 @@ def test_verify_records_criteria_in_run_order(tmp_path):
     assert [c["id"] for c in report["result"]["criteria"]] == [1, 3]
 
 
-@pytest.mark.parametrize("levels", [0, cli.MAX_CHAIN_LEVELS + 1, 10**6])
-def test_chain_demo_bounds_its_levels_before_building(tmp_path, monkeypatch, capsys, levels):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            pytest.param(["--levels", str(n)], "--levels", id=str(n))
+            for n in (0, cli.MAX_CHAIN_LEVELS + 1, 10**6)
+        ),
+        # Bad params are refused before the output directory is made.
+        pytest.param(["--levels", "2", "--grid-step", "150"], "image grid is empty", id="grid-step"),
+        pytest.param(
+            ["--levels", "2", "--cluster-radius", "-1"],
+            "cluster_radius must be positive",
+            id="cluster-radius",
+        ),
+    ],
+)
+def test_chain_demo_bounds_its_levels_before_building(tmp_path, monkeypatch, capsys, argv, message):
     def refuse(*args, **kwargs):
         raise AssertionError("chain-demo built a level")
 
     monkeypatch.setattr(cli, "build_compactification", refuse)
     out_dir = tmp_path / "chain"
-    assert run(["chain-demo", "--levels", str(levels), "--out-dir", str(out_dir)]) == 2
-    assert "--levels" in _one_line_error(capsys)
+    assert run(["chain-demo", *argv, "--out-dir", str(out_dir)]) == 2
+    assert message in _one_line_error(capsys)
     assert not list(tmp_path.glob("**/level_*.cptf"))
     assert not out_dir.exists()
 

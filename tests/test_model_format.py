@@ -17,9 +17,12 @@ from compactify.compactification import (
     RemainderCluster,
     _label_dtype,
     build_compactification,
+    closure_membership,
     load_model,
     save_model,
 )
+from compactify.extension import Verdict, check_extendability
+from compactify.functions import Cos
 
 from conftest import SMALL
 from model_files import split_cptf2
@@ -53,6 +56,20 @@ def test_cptf2_round_trips_the_model(ctx, tmp_path, kind, window):
     save_model(model, tmp_path / "m.cptf")
     assert (tmp_path / "m.cptf").read_bytes().startswith(b"CPTF2\n")
     assert_same_model(load_model(tmp_path / "m.cptf"), model)
+
+
+def test_cluster_indices_are_the_cluster_ids_of_a_loaded_model(gamma_model, tmp_path):
+    save_model(gamma_model, tmp_path / "m.cptf")
+    model = load_model(tmp_path / "m.cptf")
+    ids = [c.cluster_id for c in model.remainder]
+    report = check_extendability(model, Cos(math.sqrt(2.0), 0.0))
+    assert report.verdict is Verdict.FAILS_TO_EXTEND
+    assert list(report.tables) == ids
+    failing = model.remainder[report.failing_cluster]
+    assert failing.cluster_id == report.failing_cluster
+    assert report.tables[failing.cluster_id][-1].oscillation == report.oscillation
+    members = [closure_membership(model, c.center_point(model.space), 1e-9) for c in model.remainder]
+    assert [(m.kind, m.cluster_id) for m in members] == [("remainder", cid) for cid in ids]
 
 
 def test_five_coordinate_file_is_under_five_megabytes(ctx, tmp_path):
@@ -111,6 +128,60 @@ def _image_point_set(model, value):
     return dataclasses.replace(model, image_points=points)
 
 
+# Damage a model cannot carry: each is refused when the damaged model is
+# made, with the message load_model gives for the same damage in a file.
+INVALID = {
+    "an empty cluster": (
+        lambda m: dataclasses.replace(
+            m,
+            remainder=m.remainder
+            + (RemainderCluster(len(m.remainder), m.remainder[0].center, "+inf", np.empty(0)),),
+        ),
+        "has no witnesses",
+    ),
+    "a side that disagrees": (
+        lambda m: _with_cluster(m, 0, side="both"),
+        "cluster 0 side 'both' disagrees with its witnesses",
+    ),
+    "cluster ids out of order": (
+        lambda m: _with_cluster(m, 0, cluster_id=1),
+        "cluster ids must run 0..k-1",
+    ),
+    "a float cluster id": (
+        lambda m: _with_cluster(m, 1, cluster_id=1.0),
+        "cluster ids must run 0..k-1",
+    ),
+    "image points of the wrong shape": (
+        lambda m: dataclasses.replace(m, image_points=m.image_points[:-1]),
+        "image points of shape",
+    ),
+    "a NaN image point": (
+        lambda m: _image_point_set(m, math.nan),
+        "image points are not all finite",
+    ),
+    "an infinite center": (
+        lambda m: _with_cluster(m, 1, center=np.full(m.dim, math.inf)),
+        "cluster 1 center is not finite",
+    ),
+    "a center short of a coordinate": (
+        lambda m: _with_cluster(m, 2, center=m.remainder[2].center[:1]),
+        "cluster 2 center has 1 coordinates, not 2",
+    ),
+    "no clusters": (
+        lambda m: dataclasses.replace(m, remainder=()),
+        "model has no remainder clusters",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID))
+def test_a_model_is_refused_when_made_if_it_breaks_an_invariant(small_gamma, case):
+    damage, message = INVALID[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        damage(small_gamma)
+
+
+# Models that are valid but that CPTF2 cannot reproduce exactly.
 UNENCODABLE = {
     "a witness dropped": (
         lambda m: _with_cluster(m, 0, witnesses=m.remainder[0].witnesses[1:]),
@@ -124,14 +195,6 @@ UNENCODABLE = {
         lambda m: _with_cluster(m, 0, witnesses=m.remainder[0].witnesses + 1e-9),
         "do not tile the tail grid",
     ),
-    "an empty cluster": (
-        lambda m: dataclasses.replace(
-            m,
-            remainder=m.remainder
-            + (RemainderCluster(len(m.remainder), m.remainder[0].center, "+inf", np.empty(0)),),
-        ),
-        "do not tile the tail grid",
-    ),
     "witnesses out of grid order": (
         lambda m: _with_cluster(m, 0, witnesses=m.remainder[0].witnesses[::-1]),
         "not in grid order",
@@ -141,35 +204,16 @@ UNENCODABLE = {
         lambda m: dataclasses.replace(m, image_params=m.image_params * 1.5),
         "not the image grid",
     ),
-    "image points of the wrong shape": (
-        lambda m: dataclasses.replace(m, image_points=m.image_points[:-1]),
-        "image points of shape",
-    ),
-    "cluster ids out of order": (
-        lambda m: _with_cluster(m, 0, cluster_id=1),
-        "cluster ids must run 0..k-1",
-    ),
-    "a side that disagrees": (
-        lambda m: _with_cluster(m, 0, side="both"),
-        "has side 'both'",
-    ),
-    "a NaN image point": (
-        lambda m: _image_point_set(m, math.nan),
-        "image points are not all finite",
-    ),
-    "an infinite center": (
-        lambda m: _with_cluster(m, 1, center=np.full(m.dim, math.inf)),
-        "cluster 1 center is not finite",
-    ),
 }
 
 
 @pytest.mark.parametrize("case", list(UNENCODABLE))
 def test_save_refuses_a_model_it_cannot_encode_exactly(small_gamma, tmp_path, case):
     damage, message = UNENCODABLE[case]
+    model = damage(small_gamma)
     path = tmp_path / "m.cptf"
     with pytest.raises(ValueError, match=message):
-        save_model(damage(small_gamma), path)
+        save_model(model, path)
     assert not path.exists()
 
 
@@ -185,7 +229,7 @@ def test_an_oversized_header_length_is_refused_before_reading(small_gamma, tmp_p
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_image_points_are_refused(small_gamma, tmp_path, value):
     path = tmp_path / "m.cptf"
-    # save_model refuses such a model, so the float is set in a good file.
+    # Such a model cannot be made, so the float is set in a good file.
     save_model(small_gamma, path)
     blob = path.read_bytes()
     _, image, labels = split_cptf2(blob)
