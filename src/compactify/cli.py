@@ -14,6 +14,7 @@ to stderr and write no report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -280,7 +281,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    no state on it, and each command's function is looked up when it
+    runs."""
     parser = _Parser(
         prog="compactify",
         description="Closure models of coordinate embeddings of the real line",

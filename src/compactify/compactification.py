@@ -232,6 +232,10 @@ class CompactificationModel:
         if not np.isfinite(self.image_points).all():
             raise ValueError("image points are not all finite")
         for c in self.remainder:
+            if c.center.ndim != 1:
+                raise ValueError(
+                    f"cluster {c.cluster_id} center has shape {c.center.shape}, not {(self.dim,)}"
+                )
             if c.center.shape != (self.dim,):
                 raise ValueError(
                     f"cluster {c.cluster_id} center has {c.center.size} coordinates, not {self.dim}"
@@ -263,9 +267,17 @@ class CompactificationModel:
 
 
 def _members(labels: np.ndarray, k: int) -> list[np.ndarray]:
-    """Indices holding each label 0..k-1, in ascending order: one stable sort."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=k))[:-1])
+    """Indices holding each label 0..k-1, in ascending order: one stable sort.
+
+    The labels, all below k, are sorted in the narrowest dtype that holds
+    them, where a stable sort is a radix sort up to 16 bits; a stable
+    sort's order depends only on the values, so it is the order an int64
+    sort gives.  The groups are cut where the sorted labels step up.
+    """
+    dtype = _label_dtype(k)
+    narrow = labels.astype(dtype, copy=False)
+    order = np.argsort(narrow, kind="stable")
+    return np.split(order, np.take(narrow, order).searchsorted(np.arange(1, k, dtype=dtype)))
 
 
 # One seed's update handles this many boxes at a time, so its temporaries
@@ -299,6 +311,11 @@ def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
     - a pruned box holds no row within ``radius``, by the bound's proof;
     - every distance comes from the same kernel, element by element, and
       the strict ``d < best`` keeps a tie with the earliest seed.
+
+    The rows a seed reaches increase, so the ones outside f < row < n,
+    in its first and last box, are cut off by two binary searches; the
+    rows and best distances are gathered with ``np.take``, which copies
+    the same values as fancy indexing.
     """
     points = np.asarray(points, dtype=np.float64)
     n, _ = points.shape
@@ -318,11 +335,12 @@ def greedy_cluster(points: np.ndarray, radius: float) -> np.ndarray:
         alive = first + np.flatnonzero(bound <= radius)
         for part in range(0, alive.size, _UPDATE_BOXES):
             rows = (alive[part : part + _UPDATE_BOXES, None] * BOX_ROWS + in_box).ravel()
-            rows = rows[(rows > f) & (rows < n)]
-            d = capped_distance(points[rows], points[f])
-            take = (d <= radius) & (d < best[rows])
-            best[rows[take]] = d[take]
-            labels[rows[take]] = k
+            rows = rows[rows.searchsorted(f, "right") : rows.searchsorted(n)]
+            d = capped_distance(np.take(points, rows, axis=0), points[f])
+            take = (d <= radius) & (d < np.take(best, rows))
+            rows = rows[take]
+            best[rows] = d[take]
+            labels[rows] = k
         # The next founder: the first later row no seed reached, found in
         # windows that double, so the scans cost O(n) in all.
         start, width = f + 1, BOX_ROWS
@@ -367,11 +385,11 @@ def build_compactification(
     labels = greedy_cluster(tail_points, params.cluster_radius)
     clusters = []
     for cid, members in enumerate(_members(labels, int(labels.max()) + 1)):
-        witnesses = tail_params[members]
+        witnesses = np.take(tail_params, members)
         clusters.append(
             RemainderCluster(
                 cluster_id=cid,
-                center=tail_points[members].mean(axis=0),
+                center=np.take(tail_points, members, axis=0).mean(axis=0),
                 side=_cluster_side(witnesses),
                 witnesses=witnesses,
             )
@@ -575,7 +593,10 @@ def _read_cptf2(fh) -> CompactificationModel:
         image_points=image_points,
         remainder=tuple(
             RemainderCluster(
-                c["cluster_id"], np.asarray(c["center"], dtype=np.float64), c["side"], tail[members]
+                c["cluster_id"],
+                np.asarray(c["center"], dtype=np.float64),
+                c["side"],
+                np.take(tail, members),
             )
             for c, members in zip(clusters, _members(labels, k))
         ),

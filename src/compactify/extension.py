@@ -214,7 +214,7 @@ def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> 
             kept.append((True, cluster.witnesses))  # all in the innermost shell
         else:
             order = np.argsort(depth, kind="stable")[: counts[c, 0]]
-            kept.append((False, cluster.witnesses[order]))
+            kept.append((False, np.take(cluster.witnesses, order)))
     pieces = []
     for whole, run in itertools.groupby(kept, key=lambda k: k[0]):
         arrays = [w for _, w in run]

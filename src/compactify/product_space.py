@@ -82,13 +82,29 @@ def capped_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     call covers a row against a cloud, row against row, or a whole
     (k, 1, N) x (1, s, N) block.  Terms are accumulated one coordinate at
     a time in fixed order, so results are reproducible bit for bit.
+
+    Each term is built in one buffer of the result's shape: subtract,
+    absolute value, cap, weight, each written over the last, then added
+    to the sum.  These are the element-wise operations, in order, of
+    ``acc += np.minimum(1.0, np.abs(a_n - b_n)) * w``, and an operation
+    written into a buffer rounds exactly as one that returns a fresh
+    array, so the sum is that expression's bit for bit, with two arrays
+    of the result's size alive instead of three.  The buffer is an array
+    even for 1-D inputs, whose distance is then a 0-d array: ``out=``
+    cannot write into a numpy scalar.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    acc = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    acc = np.zeros(shape)
+    term = np.empty(shape)
     w = 1.0
     for n in range(a.shape[-1]):
-        acc += np.minimum(1.0, np.abs(a[..., n] - b[..., n])) * w
+        np.subtract(a[..., n], b[..., n], out=term)
+        np.abs(term, out=term)
+        np.minimum(term, 1.0, out=term)
+        term *= w
+        acc += term
         w *= 0.5
     return acc
 
@@ -143,8 +159,18 @@ def box_lower_bound(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     min{1, .}, the power-of-two weights and addition.  The bound therefore
     never exceeds the computed distance from p to any row of the box, and
     a box whose bound exceeds a radius holds no row within it.
+
+    c is clipped as min(max(lo, p), hi), in one array, rather than by
+    ``np.clip``.  Both pick one of the three values, so they can differ
+    only in the sign of a zero c_n, where lo_n, p_n or hi_n are zeros of
+    both signs.  |c_n - p_n| does not see that sign: c_n - p_n is -p_n
+    exactly for nonzero p_n, and a zero whose absolute value is +0 when
+    p_n is zero.  So the bound equals ``capped_distance(np.clip(p, lo,
+    hi), p)`` bit for bit.
     """
-    return capped_distance(np.clip(p, lo, hi), p)
+    c = np.maximum(lo, p)
+    np.minimum(c, hi, out=c)
+    return capped_distance(c, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +217,8 @@ def nearest_in_cloud(p: np.ndarray, boxed: BoxedCloud) -> tuple[int, float]:
     keep = bound < u
     keep[: a + 1] |= bound[: a + 1] <= u
     rows = (np.flatnonzero(keep)[:, None] * BOX_ROWS + np.arange(BOX_ROWS)).ravel()
-    rows = rows[rows < boxed.cloud.shape[0]]
-    dists = capped_distance(boxed.cloud[rows], p)
+    rows = rows[: rows.searchsorted(boxed.cloud.shape[0])]  # the last box may be short
+    dists = capped_distance(np.take(boxed.cloud, rows, axis=0), p)
     best = int(np.argmin(dists))
     return int(rows[best]), float(dists[best])
 

@@ -357,6 +357,11 @@ def _drop_a_center_coordinate(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _nest_a_center(h, image, labels):
+    h["clusters"][1]["center"] = [h["clusters"][1]["center"]]
+    return _cptf2(h, image, labels)
+
+
 def _with(key, value):
     return lambda h, image, labels: _cptf2({**h, key: value}, image, labels)
 
@@ -447,6 +452,7 @@ BAD_CPTF2 = {
     "boolean cluster id": (_second_id_set(True), "cluster ids must run 0..k-1"),
     "side that disagrees": (_flip_first_side, "disagrees with its witnesses"),
     "center short of a coordinate": (_drop_a_center_coordinate, "center has 1 coordinates, not 2"),
+    "2-D center": (_nest_a_center, "cluster 1 center has shape (1, 2), not (2,)"),
     "NaN image point": (_image_float_set(5, math.nan), "image points are not all finite"),
     "infinite image point": (_image_float_set(0, -math.inf), "image points are not all finite"),
     "NaN center": (_nan_center, "cluster 0 center is not finite"),
@@ -764,6 +770,50 @@ def test_every_report_carries_command_seed_and_workers(tmp_path, small_model_fil
 def test_reports_are_strict_json():
     with pytest.raises(ValueError, match="JSON compliant"):
         cli._emit({"value": math.nan}, {}, 0.0, None)
+
+
+def _body(path) -> dict:
+    report = json.loads(path.read_text())
+    del report["header"]
+    return report
+
+
+def test_runs_share_one_parser(tmp_path):
+    parser = cli.build_parser()
+    misses = cli.build_parser.cache_info().misses
+    assert run(["metric-check", "--pairs", "50", "--json-report", str(tmp_path / "a.json")]) == 0
+    assert run(["verify", "--criteria", "1"]) == 0
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["metric-check", "--bogus"],
+        ["metric-check", "--dims", "3", "--pairs", "x"],
+        ["metric-check", "--dims", "3", "--seed", "9", "--r"],
+        ["verify", "--all", "--criteria", "1"],
+        ["compare", "--larger", "m"],
+        [],
+    ],
+)
+def test_a_refused_flag_leaves_the_next_run_unchanged(tmp_path, bad, capsys):
+    argv = ["metric-check", "--pairs", "200"]
+    assert run([*argv, "--json-report", str(tmp_path / "before.json")]) == 0
+    assert run(bad) == 2
+    _one_line_error(capsys)
+    assert run([*argv, "--json-report", str(tmp_path / "after.json")]) == 0
+    after = _body(tmp_path / "after.json")
+    assert after == _body(tmp_path / "before.json")
+    assert after["config"]["dims"] == 5 and after["config"]["seed"] == 7
+
+
+def test_patched_commands_bite_through_the_shared_parser(monkeypatch, capsys):
+    cli.build_parser()  # built before the patch, as in a long-lived process
+    monkeypatch.setattr(cli, "metric_sample", _refuse_to_sample)
+    assert run(["metric-check", "--pairs", "50"]) == 2
+    assert "sampling reached" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from compactify.compactification import (
     EmbeddingMap,
     Membership,
     _UPDATE_BOXES,
+    _label_dtype,
+    _members,
     build_compactification,
     closure_membership,
     greedy_cluster,
@@ -186,6 +188,53 @@ def test_greedy_cluster_breaks_ties_to_the_earliest_seed():
     assert list(got[:300]) == _reference_cluster([tuple(r) for r in cloud[:300]], 0.125)
     tie = np.array([[0.0, 0.0], [0.25, 0.0], [0.125, 0.0], [0.25, 0.0], [0.0, 0.0]])
     assert list(greedy_cluster(tie, 0.125)) == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, BOX_ROWS - 1, BOX_ROWS, BOX_ROWS + 1, 3 * BOX_ROWS + 5, 40 * BOX_ROWS + 17],
+)
+def test_greedy_cluster_matches_dense_search_at_every_size(n):
+    # every row count around the box size, so a seed's first and last
+    # boxes are cut at every offset
+    rng = np.random.default_rng(n)
+    walk = np.cumsum(rng.normal(0.0, 0.02, (n, 3)), axis=0)
+    assert np.array_equal(greedy_cluster(walk, 0.05), _dense_greedy_cluster(walk, 0.05))
+    repeated = np.repeat(walk, 2, axis=0)[:n]
+    assert np.array_equal(greedy_cluster(repeated, 0.05), _dense_greedy_cluster(repeated, 0.05))
+
+
+@pytest.mark.parametrize("n", [1, BOX_ROWS - 3, 4 * BOX_ROWS + 1])
+def test_greedy_cluster_puts_equal_points_in_one_cluster(n):
+    same = np.tile([0.25, -0.5, 1.0], (n, 1))
+    got = greedy_cluster(same, 0.05)
+    assert np.array_equal(got, np.zeros(n, dtype=np.int64))
+    assert np.array_equal(got, _dense_greedy_cluster(same, 0.05))
+
+
+def _former_members(labels, k):
+    # the grouping as first written, kept as an oracle: an int64 stable
+    # argsort cut by the label counts
+    labels = labels.astype(np.int64)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=k))[:-1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257, 65_536, 65_537])
+def test_members_equal_the_int64_grouping(k):
+    rng = np.random.default_rng(k)
+    # labels 0 and k - 1 absent, as an empty cluster leaves them in a
+    # damaged file, then every label present
+    sparse = rng.integers(1, max(k - 1, 2), 3 * k + 100) % k
+    dense = np.concatenate([np.arange(k), rng.integers(0, k, 2 * k)])
+    rng.shuffle(dense)
+    for labels in (sparse, dense):
+        want = _former_members(labels, k)
+        for dtype in {np.int64, np.dtype(_label_dtype(k)), np.dtype("<u4")}:
+            got = _members(labels.astype(dtype), k)
+            assert [g.size for g in got] == [w.size for w in want]
+            assert np.array_equal(np.concatenate(got), np.concatenate(want))
+            assert {g.dtype for g in got} == {np.dtype(np.intp)}
 
 
 def test_greedy_cluster_handles_empty_and_single_point_input():

@@ -167,6 +167,10 @@ INVALID = {
         lambda m: _with_cluster(m, 2, center=m.remainder[2].center[:1]),
         "cluster 2 center has 1 coordinates, not 2",
     ),
+    "a 2-D center": (
+        lambda m: _with_cluster(m, 1, center=m.remainder[1].center[None, :]),
+        "cluster 1 center has shape (1, 2), not (2,)",
+    ),
     "no clusters": (
         lambda m: dataclasses.replace(m, remainder=()),
         "model has no remainder clusters",

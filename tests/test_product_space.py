@@ -109,6 +109,78 @@ def test_vectorised_distances_agree_with_scalar():
             assert block[i, j] == scalar(a[i], cloud[j])
 
 
+def _former_capped_distance(a, b):
+    # the kernel as first written, kept as an oracle: each term a fresh
+    # array, capped with 1.0 first
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    acc = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    w = 1.0
+    for n in range(a.shape[-1]):
+        acc += np.minimum(1.0, np.abs(a[..., n] - b[..., n])) * w
+        w *= 0.5
+    return acc
+
+
+def _assert_same_bits(got, want):
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+# Gaps above 1 (capped), zeros of both signs, equal coordinates and
+# subnormals, in every coordinate position.
+_EDGE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -3.75, 5e-324, -5e-324, 1e300, 0.1, 0.3])
+
+
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        ((5,), (5,)),  # a 0-d distance
+        ((40, 5), (5,)),  # row against a cloud
+        ((40, 5), (40, 5)),  # row against row
+        ((6, 1, 5), (1, 7, 5)),  # a block
+        ((1,), (1,)),
+        ((3, 1), (1,)),
+    ],
+)
+def test_capped_distance_equals_the_former_kernel_bit_for_bit(a_shape, b_shape):
+    rng = np.random.default_rng(len(a_shape) * 10 + a_shape[-1])
+    for values in (rng.uniform(-3.0, 3.0, 1000), rng.choice(_EDGE_VALUES, 1000)):
+        a = rng.choice(values, a_shape)
+        b = rng.choice(values, b_shape)
+        _assert_same_bits(capped_distance(a, b), _former_capped_distance(a, b))
+        _assert_same_bits(capped_distance(b, a), _former_capped_distance(b, a))
+    one = capped_distance(np.array([0.25, -0.0]), np.array([0.25, 0.0]))
+    assert one.shape == () and one.tobytes() == np.float64(0.0).tobytes()
+
+
+def test_box_lower_bound_equals_the_clipped_distance_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cloud = rng.uniform(-1.0, 1.0, (BOX_ROWS, 4)) * rng.uniform(0.0, 3.0, 4)
+    lo, hi = cloud.min(axis=0), cloud.max(axis=0)
+    inside = rng.uniform(lo, hi, (50, 4))
+    edges = [lo, hi, np.where(rng.random(4) < 0.5, lo, hi), cloud[0]]
+    outside = rng.uniform(-9.0, 9.0, (200, 4))
+    mixed = np.where(rng.random((50, 4)) < 0.5, inside, outside[:50])  # p == lo in some coordinates
+    mixed[:, 0] = lo[0]
+    for p in [*inside, *edges, *outside, *mixed]:
+        want = _former_capped_distance(np.clip(p, lo, hi), p)
+        _assert_same_bits(box_lower_bound(p, lo, hi), want)
+    # zeros of both signs as bounds and as coordinates
+    zeros = np.array([0.0, -0.0])
+    for lo_z in zeros:
+        for hi_z in zeros:
+            for p_z in [*zeros, 1.5, -1.5]:
+                lo2, hi2, p2 = np.array([lo_z, -1.0]), np.array([hi_z, 1.0]), np.array([p_z, p_z])
+                want = _former_capped_distance(np.clip(p2, lo2, hi2), p2)
+                _assert_same_bits(box_lower_bound(p2, lo2, hi2), want)
+    # many boxes at once, as the searches ask
+    boxed = BoxedCloud.of(rng.uniform(-2.0, 2.0, (1000, 3)))
+    for p in rng.uniform(-3.0, 3.0, (20, 3)):
+        want = _former_capped_distance(np.clip(p, boxed.lo, boxed.hi), p)
+        _assert_same_bits(box_lower_bound(p, boxed.lo, boxed.hi), want)
+
+
 def test_vectorised_distance_shape_errors():
     with pytest.raises(ValueError):
         distances_to_cloud(np.zeros(3), np.zeros((4, 2)))
