@@ -20,8 +20,8 @@ from .compactification import (
     CompactificationModel,
     build_compactification,
 )
-from .extension import Verdict, check_extendability
-from .functions import Cos, FunctionFamily, Interval, StereoX, StereoY, Tanh, chebyshev_expand
+from .extension import MIN_FAIL_WITNESSES, Verdict, check_extendability
+from .functions import Cos, FunctionFamily, StereoX, StereoY, Tanh, chebyshev_expand
 from .inverse_limit import (
     InverseSystem,
     LiftError,
@@ -30,7 +30,9 @@ from .inverse_limit import (
     make_thread_from_parameter,
     thread_residuals,
 )
-from .ordering import ComparisonWitness, apply_witness, compare, enlarge, equivalence_check
+from .ordering import (
+    RESIDUAL_TOL, ComparisonWitness, apply_witness, compare, enlarge, equivalence_check,
+)
 from .product_space import (
     InclusionReport,
     ProductPoint,
@@ -127,18 +129,16 @@ def metric_sample(
     identity = bool(np.all(rowwise_distance(x, x) == 0.0) and np.all(dxy > 0.0))
     triangle_slack = float((dxz - (dxy + dyz)).max())
 
-    space = tuple([Interval(-1.0, 1.0)] * dim)
     base = rng.uniform(-1.0, 1.0, (half_count, dim))
     near = np.clip(base + rng.uniform(-0.02, 0.02, base.shape), -1.0, 1.0)
-    samples = [ProductPoint(tuple(row), space) for row in np.vstack([base, near])]
-    report = check_ball_cylinder_inclusions(space, samples, r=r)
+    report = check_ball_cylinder_inclusions(np.vstack([base, near]), r=r)
     details = {
         "symmetric": symmetric,
         "identity": identity,
         "triangle_slack": triangle_slack,
         "inclusion_pairs": report.pairs_checked,
-        "coordinate_violations": len(report.coordinate_violations),
-        "cylinder_violations": len(report.cylinder_violations),
+        "coordinate_violations": report.coordinate_violations,
+        "cylinder_violations": report.cylinder_violations,
         "truncation_depth": report.k,
     }
     return details, report
@@ -178,7 +178,7 @@ def _crit_canonical_remainders(ctx: AcceptanceContext) -> tuple[bool, dict]:
     one = ctx.model(ONE_POINT_FAMILY)
     two = ctx.model(TWO_POINT_FAMILY)
 
-    one_centers = one.remainder_centers()
+    one_centers = one.remainder_centers
     one_ok = one_centers.shape[0] == 1 and bool(
         np.all(np.abs(one_centers[0] - np.array([0.0, 1.0])) <= 0.01)
     )
@@ -213,7 +213,7 @@ def _crit_cosine_obstruction(ctx: AcceptanceContext) -> tuple[bool, dict]:
             and report.oscillation is not None
             and report.oscillation >= 1.9
             and report.witness_count is not None
-            and report.witness_count >= 100
+            and report.witness_count >= MIN_FAIL_WITNESSES
         )
         passed = passed and ok
         results[label] = {
@@ -265,7 +265,7 @@ def _crit_two_coordinate_remainder(ctx: AcceptanceContext) -> tuple[bool, dict]:
     point near a cluster center, every center near the ideal segments.
     """
     model = ctx.model(TWO_COORD_FAMILY)
-    centers = model.remainder_centers()
+    centers = model.remainder_centers
     p = model.params
 
     # Both tails at a quarter of the build's tail step.
@@ -329,9 +329,9 @@ def _crit_comparison_witnesses(ctx: AcceptanceContext) -> tuple[bool, dict]:
     passed = (
         ok_w
         and res1 is not None
-        and res1 <= 1e-9
+        and res1 <= RESIDUAL_TOL
         and res2 is not None
-        and res2 <= 1e-9
+        and res2 <= RESIDUAL_TOL
         and equiv
     )
     return (
@@ -418,12 +418,12 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
             limit_residuals.append(None)
 
     passed = (
-        max(bond_residuals) <= 1e-9
-        and thread_sup <= 1e-9
+        max(bond_residuals) <= RESIDUAL_TOL
+        and thread_sup <= RESIDUAL_TOL
         and lift_failures == 0
         and agree_sup <= BUILD_PARAMS.resolution
         and limit_ok
-        and all(r is not None and r <= 1e-9 for r in limit_residuals)
+        and all(r is not None and r <= RESIDUAL_TOL for r in limit_residuals)
     )
     return (
         passed,

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -133,6 +133,9 @@ class BuildParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BuildParams":
+        names = [f.name for f in fields(cls)]
+        if obj.keys() != set(names):
+            raise ValueError(f"params need exactly the fields {names}, got {list(obj)}")
         return cls(**{k: json_float(v, k) for k, v in obj.items()})
 
 
@@ -262,8 +265,13 @@ class CompactificationModel:
         first use and kept with the model, which is treated as immutable."""
         return BoxedCloud.of(self.image_points)
 
+    @cached_property
     def remainder_centers(self) -> np.ndarray:
-        return np.vstack([c.center for c in self.remainder])
+        """The cluster centers as one read-only (clusters, dim) cloud, row k
+        cluster k's; stacked on first use and kept with the model."""
+        centers = np.vstack([c.center for c in self.remainder])
+        centers.flags.writeable = False
+        return centers
 
 
 def _members(labels: np.ndarray, k: int) -> list[np.ndarray]:
@@ -434,7 +442,7 @@ def closure_membership(
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     arr = p.as_array()
 
-    cd = distances_to_cloud(arr, model.remainder_centers())
+    cd = distances_to_cloud(arr, model.remainder_centers)
     best_c = int(np.argmin(cd))
     nearest_center = float(cd[best_c])
     if nearest_center < eps:

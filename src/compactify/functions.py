@@ -98,7 +98,8 @@ class FunctionDescriptor:
     Each subclass is a frozen dataclass whose fields are its JSON schema:
     ``to_json`` writes ``kind`` and then every field in declaration order,
     and ``descriptor_from_json`` reads them back, a field with a default
-    being optional.  Every ``float`` field must be finite.
+    being optional and any other field refused.  Every ``float`` field
+    must be a finite JSON number.
     """
 
     kind: ClassVar[str]
@@ -402,12 +403,15 @@ def decode_json(text: str):
 
 
 def json_float(value, what: str) -> float:
-    """``float(value)``, with a value that is not a number or overflows a
-    float a ValueError naming ``what``."""
-    try:
-        return float(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    """``float(value)`` of a JSON number, an int or a float; a bool, a
+    string or any other value, or an int that overflows a float, is a
+    ValueError naming ``what``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 _KINDS = {cls.kind: cls for cls in (Tanh, Cos, StereoX, StereoY, Const, Cheb, AffineImage)}
@@ -427,6 +431,10 @@ def descriptor_from_json(obj: dict, depth: int = 1) -> FunctionDescriptor:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown descriptor kind: {kind!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = [k for k in obj if k != "kind" and k not in names]
+    if unknown:
+        raise ValueError(f"{kind} descriptor has unknown fields {unknown}")
     args = {}
     for f in fields(cls):
         if f.name not in obj:

@@ -67,7 +67,7 @@ class InverseSystem:
         use and kept with the system, which is treated as immutable."""
         return tuple(
             BoxedCloud.of(
-                apply_witness(bond, np.vstack([upper.image_points, upper.remainder_centers()]))
+                apply_witness(bond, np.vstack([upper.image_points, upper.remainder_centers]))
             )
             for upper, bond in zip(self.levels[1:], self.bonds)
         )
@@ -111,7 +111,7 @@ def apply_bond(system: InverseSystem, n: int, p: ProductPoint) -> ProductPoint:
         raise IndexError(f"no bond at index {n}")
     if p.space != system.levels[n + 1].space:
         raise ValueError("point does not live at the bond's source level")
-    row = apply_witness(system.bonds[n], p.as_array())
+    row = apply_witness(system.bonds[n], p.as_array()[None])[0]
     return ProductPoint(row, system.levels[n].space)
 
 

@@ -132,18 +132,15 @@ def _apply_mapping_array(
 
 
 def apply_witness(witness: ComparisonWitness, points: np.ndarray) -> np.ndarray:
-    """Map larger-model coordinate rows to smaller-model rows.
+    """Map the (M, N) rows of larger-model coordinates to smaller-model rows.
 
     Values are clipped into the smaller space so recurrence drift cannot
     push them outside their intervals.
     """
-    out = _apply_mapping_array(witness.mapping, np.atleast_2d(points))
+    out = _apply_mapping_array(witness.mapping, points)
     lo = np.asarray([iv.lo for iv in witness.smaller.space])
     hi = np.asarray([iv.hi for iv in witness.smaller.space])
-    out = np.clip(out, lo, hi)
-    if np.asarray(points).ndim == 1:
-        return out[0]
-    return out
+    return np.clip(out, lo, hi)
 
 
 def _witness_from_mapping(
@@ -162,7 +159,7 @@ def _witness_from_mapping(
         return Incomparable(
             f"coordinate mapping residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    mapped_centers = _apply_mapping_array(mapping, larger.remainder_centers())
+    mapped_centers = _apply_mapping_array(mapping, larger.remainder_centers)
     onto_defect = 0.0
     onto_tol = smaller.params.resolution
     for c in smaller.remainder:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,25 +119,20 @@ def product_distance(x: ProductPoint, y: ProductPoint) -> float:
 
 
 def distances_to_cloud(p: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    """Distances from a single coordinate row to every row of a cloud."""
+    """Distances from a single coordinate row to every row of an (M, N) cloud."""
     p = np.asarray(p, dtype=np.float64)
     cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.ndim == 1:
-        cloud = cloud[:, None]
-    if cloud.shape[1] != p.shape[0]:
-        raise ValueError("cloud and point have different coordinate counts")
+    if cloud.ndim != 2 or cloud.shape[1] != p.shape[0]:
+        raise ValueError("cloud is not (M, N) for a point of N coordinates")
     return capped_distance(cloud, p)
 
 
 def rowwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between corresponding rows of two equally shaped clouds."""
+    """Distance between corresponding rows of two (M, N) clouds."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("clouds have different shapes")
-    if a.ndim == 1:
-        a = a[:, None]
-        b = b[:, None]
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError("clouds are not two (M, N) arrays of one shape")
     return capped_distance(a, b)
 
 
@@ -186,10 +180,8 @@ class BoxedCloud:
     @classmethod
     def of(cls, cloud: np.ndarray) -> "BoxedCloud":
         cloud = np.asarray(cloud, dtype=np.float64)
-        if cloud.ndim == 1:
-            cloud = cloud[:, None]
-        if cloud.shape[0] == 0:
-            raise ValueError("cannot search an empty cloud")
+        if cloud.ndim != 2 or cloud.shape[0] == 0:
+            raise ValueError(f"cannot search a cloud of shape {cloud.shape}")
         starts = np.arange(0, cloud.shape[0], BOX_ROWS)
         return cls(
             cloud=cloud,
@@ -238,21 +230,21 @@ def tail_bound(n_coords: int) -> float:
 class InclusionReport:
     """Outcome of the ball/cylinder inclusion checks on a sample.
 
-    ``coordinate_violations`` lists (i, j, n) where d(x_i, x_j) < r / 2^n
-    failed to force coordinate distance n below r.  ``cylinder_violations``
-    lists (i, j) where closeness below r/4 on every coordinate up to k
-    failed to force d(x_i, x_j) < r.
+    ``coordinate_violations`` counts the (pair, coordinate n) where
+    d(x_i, x_j) < r / 2^n failed to force coordinate distance n below r;
+    ``cylinder_violations`` counts the pairs where closeness below r/4 on
+    every coordinate up to k failed to force d(x_i, x_j) < r.
     """
 
     r: float
     k: int
     pairs_checked: int
-    coordinate_violations: list[tuple[int, int, int]] = field(default_factory=list)
-    cylinder_violations: list[tuple[int, int]] = field(default_factory=list)
+    coordinate_violations: int
+    cylinder_violations: int
 
     @property
     def ok(self) -> bool:
-        return not self.coordinate_violations and not self.cylinder_violations
+        return self.coordinate_violations == 0 and self.cylinder_violations == 0
 
 
 def _truncation_depth(r: float) -> int:
@@ -265,45 +257,39 @@ def _truncation_depth(r: float) -> int:
     return k
 
 
-def check_ball_cylinder_inclusions(
-    space: Space, samples: Sequence[ProductPoint], r: float
-) -> InclusionReport:
-    """Check both metric-ball vs cylinder inclusions on all sample pairs.
+def check_ball_cylinder_inclusions(points: np.ndarray, r: float) -> InclusionReport:
+    """Check both metric-ball vs cylinder inclusions on all pairs of rows
+    of an (M, N) sample.
 
-    For every unordered pair x, y from ``samples`` and every coordinate n:
-    whenever d(x, y) < r / 2^n the n-th capped coordinate distance is below
-    r.  And with k the smallest truncation depth whose tail weighs less
-    than r/2: whenever all capped coordinate distances up to k are below
-    r/4, d(x, y) < r.
+    For every unordered pair of rows x, y and every coordinate n: whenever
+    d(x, y) < r / 2^n the n-th capped coordinate distance is below r.  And
+    with k the smallest truncation depth whose tail weighs less than r/2:
+    whenever all capped coordinate distances up to k are below r/4,
+    d(x, y) < r.  A radius that is not positive, or a sample that is not
+    2-D, raises ValueError.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    for p in samples:
-        if p.space != tuple(space):
-            raise ValueError("sample point outside the given space")
-    dim = len(space)
-    pts = np.asarray([p.coords for p in samples], dtype=np.float64)
-    ii, jj = np.triu_indices(len(samples), k=1)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"sample of shape {pts.shape} is not (M, N)")
+    dim = pts.shape[1]
+    ii, jj = np.triu_indices(pts.shape[0], k=1)
     capped = np.minimum(1.0, np.abs(pts[ii] - pts[jj]))  # (pairs, dim)
     dist = capped_distance(pts[ii], pts[jj])
 
     k = _truncation_depth(r)
-    coord_viol: list[tuple[int, int, int]] = []
-    for n in range(dim):
-        bad = np.flatnonzero((dist < math.ldexp(r, -n)) & ~(capped[:, n] < r))
-        coord_viol.extend((int(ii[b]), int(jj[b]), n) for b in bad)
-
+    coord_viol = sum(
+        int(np.count_nonzero((dist < math.ldexp(r, -n)) & ~(capped[:, n] < r))) for n in range(dim)
+    )
     head = capped[:, : min(k, dim - 1) + 1]
     hypothesis = np.all(head < r / 4.0, axis=1)
-    bad = np.flatnonzero(hypothesis & ~(dist < r))
-    cyl_viol = [(int(ii[b]), int(jj[b])) for b in bad]
-
     return InclusionReport(
         r=float(r),
         k=k,
         pairs_checked=len(ii),
         coordinate_violations=coord_viol,
-        cylinder_violations=cyl_viol,
+        cylinder_violations=int(np.count_nonzero(hypothesis & ~(dist < r))),
     )
 
 

@@ -100,7 +100,7 @@ def test_criterion_6_quarter_step_tail_matches_the_direct_formula(p):
 
 def test_criterion_6_streamed_cover_equals_the_one_shot_value():
     model = build_compactification(TWO_COORD_FAMILY, SMALL)
-    centers = model.remainder_centers()
+    centers = model.remainder_centers
     # SMALL's oracle fits one block; a ten times finer one spans several,
     # the last of them partial.
     for params in (_quarter_step_tail(SMALL), _quarter_step_tail(replace(SMALL, grid_step=0.005))):

@@ -405,6 +405,19 @@ def _huge_param(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _radius_set(value):
+    def damage(h, image, labels):
+        h["params"]["cluster_radius"] = value
+        return _cptf2(h, image, labels)
+
+    return damage
+
+
+def _without_radius(h, image, labels):
+    del h["params"]["cluster_radius"]
+    return _cptf2(h, image, labels)
+
+
 def _huge_family_field(h, image, labels):
     h["family"][1]["b"] = -(10**400)
     return _cptf2(h, image, labels)
@@ -461,6 +474,10 @@ BAD_CPTF2 = {
     "400-digit param": (_huge_param, "grid_step must be a number, got 1000"),
     "empty image grid": (_empty_image_grid, "image grid is empty"),
     "400-digit family field": (_huge_family_field, "Cos.b must be a number, got -1000"),
+    # float() would read both as numbers: 0.05 and 1.0.
+    "string param": (_radius_set("0.05"), "cluster_radius must be a number, got '0.05'"),
+    "boolean param": (_radius_set(True), "cluster_radius must be a number, got True"),
+    "params without cluster_radius": (_without_radius, "params need exactly the fields"),
 }
 
 

@@ -410,6 +410,14 @@ def test_gamma_remainder_populates_both_tail_sides(gamma_model):
     assert len(gamma_model.remainder) == 38
 
 
+def test_remainder_centers_are_stacked_once_and_read_only(small_gamma):
+    centers = small_gamma.remainder_centers
+    assert centers is small_gamma.remainder_centers
+    assert np.array_equal(centers, np.vstack([c.center for c in small_gamma.remainder]))
+    with pytest.raises(ValueError, match="read-only"):
+        centers[0, 0] = 0.0
+
+
 def test_membership_prefers_remainder_over_saturated_image(gamma_model):
     p = ProductPoint((1.0, 0.5), gamma_model.space)
     m = closure_membership(gamma_model, p, eps=0.05)
@@ -511,7 +519,7 @@ def _dense_closure_membership(model, p, eps):
     # Membership before the image cloud was boxed: every image point scanned.
     arr = p.as_array()
     nearest_center = np.inf
-    centers = model.remainder_centers()
+    centers = model.remainder_centers
     if centers.shape[0]:
         cd = distances_to_cloud(arr, centers)
         best_c = int(np.argmin(cd))

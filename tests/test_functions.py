@@ -423,6 +423,12 @@ def test_a_chebyshev_range_that_overflows_is_refused(inner, ends):
         ({"kind": "const", "c": {"x": 1}}, "Const.c must be a number, got {'x': 1}"),
         ({"kind": "affine", "inner": {"kind": "tanh"}, "scale": 10**400}, "AffineImage.scale must be a number, got 1000"),
         ({"kind": "tanh", "b": -(10**400)}, "Tanh.b must be a number, got -1000"),
+        # float() would read these as 2.0, 10.0 and 1.0.
+        ({"kind": "tanh", "a": "2"}, "Tanh.a must be a number, got '2'"),
+        ({"kind": "cos", "a": " 1e1 "}, "Cos.a must be a number, got ' 1e1 '"),
+        ({"kind": "tanh", "a": True}, "Tanh.a must be a number, got True"),
+        ({"kind": "tanh", "A": 2}, "tanh descriptor has unknown fields ['A']"),
+        ({"kind": "affine", "inner": {"kind": "cos", "c": 1}}, "cos descriptor has unknown fields ['c']"),
         ({"kind": ["tanh"]}, "unknown descriptor kind: ['tanh']"),
         ({"kind": {"kind": "tanh"}}, "unknown descriptor kind: {'kind': 'tanh'}"),
     ],

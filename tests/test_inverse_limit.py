@@ -224,7 +224,7 @@ def test_lift_from_positive_infinity_hits_a_remainder_cluster(two_level):
 
 
 def _dense_candidates(model):
-    centers = model.remainder_centers()
+    centers = model.remainder_centers
     if centers.shape[0] == 0:
         return model.image_points
     return np.vstack([model.image_points, centers])

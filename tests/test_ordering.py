@@ -91,9 +91,9 @@ def test_apply_witness_reproduces_the_smaller_embedding(gamma_model, tanh_cos2):
     mapped = apply_witness(w, gamma_model.image_points)
     target = tanh_cos2.embedding.embed_array(gamma_model.image_params)
     assert np.max(np.abs(mapped - target)) <= 1e-9
-    one = apply_witness(w, gamma_model.image_points[17])
-    assert one.shape == (2,)
-    assert np.array_equal(one, mapped[17])
+    one = apply_witness(w, gamma_model.image_points[17:18])
+    assert one.shape == (1, 2)
+    assert np.array_equal(one, mapped[17:18])
 
 
 def compose_mappings(outer, inner):

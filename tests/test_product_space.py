@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from compactify import product_space
 from compactify.functions import Interval
 from compactify.product_space import (
     BOX_ROWS,
@@ -186,6 +187,11 @@ def test_vectorised_distance_shape_errors():
         distances_to_cloud(np.zeros(3), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         rowwise_distance(np.zeros((4, 2)), np.zeros((5, 2)))
+    # A 1-D cloud is not read as a column.
+    with pytest.raises(ValueError):
+        distances_to_cloud(np.zeros(1), np.zeros(4))
+    with pytest.raises(ValueError):
+        rowwise_distance(np.zeros(4), np.zeros(4))
 
 
 def test_tail_bound_values():
@@ -211,12 +217,12 @@ def test_tail_bound_controls_truncation_on_samples():
 def test_inclusion_checks_pass_on_random_samples():
     rng = np.random.default_rng(33)
     dim = 6
-    space = cube(dim)
     base = rng.uniform(-1.0, 1.0, (60, dim))
     near = np.clip(base + rng.uniform(-0.01, 0.01, base.shape), -1.0, 1.0)
-    samples = [ProductPoint(tuple(row), space) for row in np.vstack([base, near])]
-    report = check_ball_cylinder_inclusions(space, samples, r=0.3)
+    report = check_ball_cylinder_inclusions(np.vstack([base, near]), r=0.3)
     assert report.ok
+    # plain ints, as a report body writes them
+    assert type(report.coordinate_violations) is int and type(report.cylinder_violations) is int
     assert report.pairs_checked == 120 * 119 // 2
     assert report.k >= 1
 
@@ -226,15 +232,10 @@ def test_inclusion_checks_engage_the_cylinder_hypothesis():
     # cylinder premise holds and the conclusion must too
     r = 0.3
     dim = 12
-    space = cube(dim)
     lead = np.zeros(dim)
     far = lead.copy()
     far[8:] = 1.0  # beyond the truncation depth for r = 0.3
-    samples = [
-        ProductPoint(tuple(lead), space),
-        ProductPoint(tuple(far), space),
-    ]
-    report = check_ball_cylinder_inclusions(space, samples, r)
+    report = check_ball_cylinder_inclusions(np.vstack([lead, far]), r)
     assert report.k <= 8
     assert report.ok
 
@@ -242,10 +243,8 @@ def test_inclusion_checks_engage_the_cylinder_hypothesis():
 def test_inclusion_checks_run_past_a_thousand_coordinates():
     # 2.0**n overflows at n = 1024; the threshold r 2^-n must not.
     dim = 1100
-    space = cube(dim)
     rng = np.random.default_rng(4)
-    samples = [ProductPoint(tuple(rng.uniform(-1.0, 1.0, dim)), space) for _ in range(4)]
-    assert check_ball_cylinder_inclusions(space, samples, r=0.3).ok
+    assert check_ball_cylinder_inclusions(rng.uniform(-1.0, 1.0, (4, dim)), r=0.3).ok
 
 
 @pytest.mark.parametrize("r", [2.0, 1.0, 0.3, 0.25, 1e-9, 2.0**-1022, 5e-324])
@@ -255,14 +254,26 @@ def test_truncation_depth_is_the_least_k_whose_tail_weighs_under_half_r(r):
     assert Fraction(2) ** (1 - k) < Fraction(r) / 2 <= Fraction(2) ** (2 - k)
 
 
+def test_inclusion_report_counts_each_violation(monkeypatch):
+    # The metric satisfies both inclusions, so broken distances stand in
+    # for it to show that each violation is counted.
+    pts = np.zeros((3, 12))
+    pts[1, 8:] = 1.0
+    monkeypatch.setattr(product_space, "capped_distance", lambda a, b: np.zeros(a.shape[0]))
+    report = check_ball_cylinder_inclusions(pts, r=0.3)
+    # pairs (0, 1) and (1, 2), each at coordinates 8 to 11
+    assert (report.coordinate_violations, report.cylinder_violations, report.ok) == (8, 0, False)
+    monkeypatch.setattr(product_space, "capped_distance", lambda a, b: np.full(a.shape[0], 2.0))
+    report = check_ball_cylinder_inclusions(pts, r=0.3)
+    # every pair agrees up to the truncation depth 4, yet lies 2 apart
+    assert (report.coordinate_violations, report.cylinder_violations, report.ok) == (0, 3, False)
+
+
 def test_inclusion_checker_rejects_bad_input():
-    space = cube(2)
-    pt = ProductPoint((0.0, 0.0), space)
-    with pytest.raises(ValueError):
-        check_ball_cylinder_inclusions(space, [pt], r=0.0)
-    other = ProductPoint((0.0,), cube(1))
-    with pytest.raises(ValueError):
-        check_ball_cylinder_inclusions(space, [pt, other], r=0.5)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        check_ball_cylinder_inclusions(np.zeros((1, 2)), r=0.0)
+    with pytest.raises(ValueError, match=r"sample of shape \(2,\) is not \(M, N\)"):
+        check_ball_cylinder_inclusions(np.zeros(2), r=0.5)
 
 
 def test_point_cloud_csv_roundtrip_is_bitwise(tmp_path):
@@ -301,6 +312,8 @@ def test_boxed_cloud_keeps_the_cloud_and_each_box_range():
         assert np.array_equal(boxed.hi[b], rows.max(axis=0))
     with pytest.raises(ValueError):
         BoxedCloud.of(np.empty((0, 3)))
+    with pytest.raises(ValueError, match=r"cannot search a cloud of shape \(4,\)"):
+        BoxedCloud.of(np.zeros(4))
 
 
 def test_box_lower_bound_never_exceeds_a_row_distance():
