@@ -26,7 +26,6 @@ from .functions import (
 from .product_space import (
     ProductPoint,
     check_ball_cylinder_inclusions,
-    product_distance,
     tail_bound,
 )
 from .compactification import (
@@ -47,7 +46,6 @@ from .extension import (
 from .ordering import (
     ChebOfCoordinate,
     ComparisonWitness,
-    CopyCoordinate,
     EnlargeResult,
     Incomparable,
     compare,
@@ -79,7 +77,6 @@ __all__ = [
     "descriptor_from_json",
     "ProductPoint",
     "check_ball_cylinder_inclusions",
-    "product_distance",
     "tail_bound",
     "BuildParams",
     "CompactificationModel",
@@ -94,7 +91,6 @@ __all__ = [
     "check_extendability",
     "ChebOfCoordinate",
     "ComparisonWitness",
-    "CopyCoordinate",
     "EnlargeResult",
     "Incomparable",
     "compare",

@@ -31,14 +31,13 @@ from .inverse_limit import (
     thread_residuals,
 )
 from .ordering import (
-    RESIDUAL_TOL, ComparisonWitness, apply_witness, compare, enlarge, equivalence_check,
+    RESIDUAL_TOL, ComparisonWitness, apply_witness, compare, enlarge,
 )
 from .product_space import (
     InclusionReport,
     ProductPoint,
     capped_distance,
     check_ball_cylinder_inclusions,
-    product_distance,
     rowwise_distance,
     tail_bound,
 )
@@ -325,7 +324,8 @@ def _crit_comparison_witnesses(ctx: AcceptanceContext) -> tuple[bool, dict]:
     ok_w = isinstance(w1, ComparisonWitness) and isinstance(w2, ComparisonWitness)
     res1 = w1.residual if ok_w else None
     res2 = w2.residual if ok_w else None
-    equiv = equivalence_check(pair, triple)
+    # equivalence_check(pair, triple), reusing w2
+    equiv = isinstance(w2, ComparisonWitness) and isinstance(compare(pair, triple), ComparisonWitness)
     passed = (
         ok_w
         and res1 is not None
@@ -404,7 +404,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
             if abs(x0) <= 15.0:
                 reference = make_thread_from_parameter(system, x0)
                 for a, b in zip(thread.entries, reference.entries):
-                    agree_sup = max(agree_sup, product_distance(a, b))
+                    agree_sup = max(agree_sup, float(capped_distance(a.as_array(), b.as_array())))
 
     limit = chain_limit(system)
     limit_ok = True

@@ -16,12 +16,7 @@ import numpy as np
 
 from .compactification import CompactificationModel, closure_membership
 from .ordering import ComparisonWitness, Incomparable, apply_witness, compare
-from .product_space import (
-    BoxedCloud,
-    ProductPoint,
-    nearest_in_cloud,
-    product_distance,
-)
+from .product_space import BoxedCloud, ProductPoint, capped_distance, nearest_in_cloud
 
 __all__ = [
     "InverseSystem",
@@ -116,13 +111,20 @@ def apply_bond(system: InverseSystem, n: int, p: ProductPoint) -> ProductPoint:
 
 
 def thread_residuals(system: InverseSystem, thread: Thread) -> list[float]:
-    """Distances between each entry and the pushed-down next entry."""
+    """Distances between each entry and the pushed-down next entry.
+
+    A thread whose length is not the system's depth, or with an entry
+    outside its level's space, raises ValueError.
+    """
     if len(thread) != system.depth:
         raise ValueError("thread length does not match the system depth")
-    out = []
-    for n in range(system.depth - 1):
-        out.append(product_distance(apply_bond(system, n, thread[n + 1]), thread[n]))
-    return out
+    for n, (entry, level) in enumerate(zip(thread.entries, system.levels)):
+        if entry.space != level.space:
+            raise ValueError(f"thread entry {n} does not live at level {n}")
+    return [
+        float(capped_distance(apply_bond(system, n, thread[n + 1]).as_array(), thread[n].as_array()))
+        for n in range(system.depth - 1)
+    ]
 
 
 def make_thread_from_parameter(system: InverseSystem, x: float) -> Thread:

@@ -1,10 +1,10 @@
 """Comparing and enlarging compactification models.
 
 One model sits above another when every coordinate of the smaller family
-can be manufactured from the larger one, either verbatim or through a
-Chebyshev identity.  The induced coordinate mapping is then checked
-numerically: it must reproduce the smaller embedding on the image grid and
-carry the larger remainder onto the smaller one.
+is T_n of a larger coordinate for some degree n >= 1, where T_1(t) = t
+makes a verbatim copy the degree-1 case.  The induced coordinate mapping
+is then checked numerically: it must reproduce the smaller embedding on
+the image grid and carry the larger remainder onto the smaller one.
 """
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from .product_space import distances_to_cloud, rowwise_distance
 
 __all__ = [
     "RESIDUAL_TOL",
-    "CopyCoordinate",
     "ChebOfCoordinate",
-    "CoordinateMap",
     "ComparisonWitness",
     "Incomparable",
     "EnlargeResult",
@@ -36,21 +34,23 @@ RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CopyCoordinate:
-    """Smaller coordinate = larger coordinate ``source`` verbatim."""
-
-    source: int
-
-
-@dataclass(frozen=True)
 class ChebOfCoordinate:
-    """Smaller coordinate = T_degree of larger coordinate ``source``."""
+    """Smaller coordinate = T_degree of larger coordinate ``source``.
+
+    Degree 1 is a verbatim copy, as T_1(t) = t.
+    """
 
     degree: int
     source: int
 
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        """This coordinate of the image of each row of an (M, N) float array."""
+        return chebyshev_recurrence(self.degree, points[:, self.source])
 
-CoordinateMap = CopyCoordinate | ChebOfCoordinate
+    def to_json(self) -> dict:
+        if self.degree == 1:
+            return {"op": "copy", "source": self.source}
+        return {"op": "cheb", "degree": self.degree, "source": self.source}
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,12 @@ class ComparisonWitness:
 
     larger: CompactificationModel
     smaller: CompactificationModel
-    mapping: tuple[CoordinateMap, ...]
+    mapping: tuple[ChebOfCoordinate, ...]
     residual: float
     onto_defect: float
 
     def mapping_json(self) -> list[dict]:
-        out = []
-        for m in self.mapping:
-            if isinstance(m, CopyCoordinate):
-                out.append({"op": "copy", "source": m.source})
-            else:
-                out.append({"op": "cheb", "degree": m.degree, "source": m.source})
-        return out
+        return [m.to_json() for m in self.mapping]
 
 
 def _as_integer_multiple(value: float, base: float) -> int | None:
@@ -97,10 +91,10 @@ def _as_integer_multiple(value: float, base: float) -> int | None:
 
 def _match_coordinate(
     target: FunctionDescriptor, larger_family: FunctionFamily
-) -> CoordinateMap | None:
+) -> ChebOfCoordinate | None:
     for j, g in enumerate(larger_family):
         if g == target:
-            return CopyCoordinate(j)
+            return ChebOfCoordinate(1, j)
     if isinstance(target, Cheb):
         for j, g in enumerate(larger_family):
             if g == target.inner:
@@ -114,28 +108,23 @@ def _match_coordinate(
             for aa, bb in ((target.a, target.b), (-target.a, -target.b)):
                 m = _as_integer_multiple(aa, g.a)
                 if m is not None and bb == m * g.b:
-                    return CopyCoordinate(j) if m == 1 else ChebOfCoordinate(m, j)
+                    return ChebOfCoordinate(m, j)
     return None
 
 
 def _apply_mapping_array(
-    mapping: tuple[CoordinateMap, ...], points: np.ndarray
+    mapping: tuple[ChebOfCoordinate, ...], points: np.ndarray
 ) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
-    cols = []
-    for m in mapping:
-        if isinstance(m, CopyCoordinate):
-            cols.append(points[:, m.source])
-        else:
-            cols.append(np.asarray(chebyshev_recurrence(m.degree, points[:, m.source])))
-    return np.column_stack(cols)
+    return np.column_stack([m.apply(points) for m in mapping])
 
 
 def apply_witness(witness: ComparisonWitness, points: np.ndarray) -> np.ndarray:
     """Map the (M, N) rows of larger-model coordinates to smaller-model rows.
 
-    Values are clipped into the smaller space so recurrence drift cannot
-    push them outside their intervals.
+    Values are clipped into the smaller space, since the recurrence can
+    round past +-1: T_4(0.707106781186551) computes as
+    -1.0000000000000002, and maps here to -1.0.
     """
     out = _apply_mapping_array(witness.mapping, points)
     lo = np.asarray([iv.lo for iv in witness.smaller.space])
@@ -146,7 +135,7 @@ def apply_witness(witness: ComparisonWitness, points: np.ndarray) -> np.ndarray:
 def _witness_from_mapping(
     larger: CompactificationModel,
     smaller: CompactificationModel,
-    mapping: tuple[CoordinateMap, ...],
+    mapping: tuple[ChebOfCoordinate, ...],
 ) -> ComparisonWitness | Incomparable:
     mapped = _apply_mapping_array(mapping, larger.image_points)
     if np.array_equal(smaller.image_params, larger.image_params):
@@ -189,7 +178,7 @@ def compare(
     a member); the resulting mapping is then verified numerically on the
     image grid and against the remainders.
     """
-    mapping: list[CoordinateMap] = []
+    mapping: list[ChebOfCoordinate] = []
     for n, f in enumerate(smaller.family):
         m = _match_coordinate(f, larger.family)
         if m is None:

@@ -18,7 +18,6 @@ __all__ = [
     "Interval",
     "ProductPoint",
     "capped_distance",
-    "product_distance",
     "distances_to_cloud",
     "rowwise_distance",
     "BOX_ROWS",
@@ -69,11 +68,6 @@ class ProductPoint:
         return np.asarray(self.coords, dtype=np.float64)
 
 
-def _require_same_space(x: ProductPoint, y: ProductPoint) -> None:
-    if x.space != y.space:
-        raise ValueError("points live in incompatible product spaces")
-
-
 def capped_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Weighted capped distance sum_n min{1, |a_n - b_n|} / 2^n.
 
@@ -106,16 +100,6 @@ def capped_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         acc += term
         w *= 0.5
     return acc
-
-
-def product_distance(x: ProductPoint, y: ProductPoint) -> float:
-    """Distance between two points of the same product space.
-
-    Bounded above by 2.  Raises ValueError when the points do not share a
-    space.
-    """
-    _require_same_space(x, y)
-    return float(capped_distance(x.as_array(), y.as_array()))
 
 
 def distances_to_cloud(p: np.ndarray, cloud: np.ndarray) -> np.ndarray:

@@ -168,6 +168,23 @@ def test_compare_self_yields_identity_witness(small_model_file, capsys):
     assert report["result"]["residual"] == 0.0
 
 
+def test_compare_spells_a_harmonic_coordinate_as_cheb(tmp_path, small_model_file, capsys):
+    fam = write_json(
+        tmp_path / "cos2.json",
+        [{"kind": "tanh", "a": 1.0, "b": 0.0}, {"kind": "cos", "a": 2.0, "b": 0.0}],
+    )
+    smaller = tmp_path / "cos2.cptf"
+    assert run(["build", "--family", fam, "--out", str(smaller), *SMALL_FLAGS]) == 0
+    capsys.readouterr()
+    rc = run(["compare", "--larger", small_model_file, "--smaller", str(smaller)])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["mapping"] == [
+        {"op": "copy", "source": 0},
+        {"op": "cheb", "degree": 2, "source": 1},
+    ]
+
+
 def test_compare_has_no_short_flag_spelling(small_model_file, capsys):
     rc = run(["compare", "--a", small_model_file, "--smaller", small_model_file])
     assert rc == 2

@@ -1,0 +1,22 @@
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import compactify
+
+# __main__ runs the command line on import, and defines no exports.
+MODULES = ["compactify"] + [
+    f"compactify.{m.name}" for m in pkgutil.iter_modules(compactify.__path__) if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), "a name is exported twice"
+    assert [n for n in exported if not hasattr(module, n)] == []
+

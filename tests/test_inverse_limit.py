@@ -13,7 +13,7 @@ from compactify.compactification import (
     load_model,
     save_model,
 )
-from compactify.functions import Cos, StereoX, StereoY, Tanh
+from compactify.functions import Cos, Interval, StereoX, StereoY, Tanh
 from compactify.inverse_limit import (
     InverseSystem,
     LiftError,
@@ -27,7 +27,6 @@ from compactify.inverse_limit import (
 from compactify.ordering import (
     ChebOfCoordinate,
     ComparisonWitness,
-    CopyCoordinate,
     Incomparable,
     apply_witness,
     compare,
@@ -49,7 +48,7 @@ def two_level():
 def test_from_levels_builds_copy_bonds(two_level):
     assert two_level.depth == 2
     assert len(two_level.bonds) == 1
-    assert two_level.bonds[0].mapping == (CopyCoordinate(0),)
+    assert two_level.bonds[0].mapping == (ChebOfCoordinate(1, 0),)
     assert two_level.bonds[0].residual == 0.0
 
 
@@ -77,7 +76,7 @@ def test_singleton_system_limit_is_its_only_level(small_two_point):
     witness = compare(limit, small_two_point)
     assert not isinstance(witness, Incomparable)
     assert witness.mapping == tuple(
-        CopyCoordinate(source=i) for i in range(len(small_two_point.family))
+        ChebOfCoordinate(degree=1, source=i) for i in range(len(small_two_point.family))
     )
 
 
@@ -105,6 +104,18 @@ def test_thread_length_is_validated(two_level):
         thread_residuals(two_level, short)
     with pytest.raises(ValueError):
         Thread(())
+
+
+def test_thread_entries_outside_their_level_are_rejected(two_level):
+    good = make_thread_from_parameter(two_level, 0.5)
+    other_interval = ProductPoint((0.5,), (Interval(0.0, 1.0),))
+    for entries in (
+        (other_interval, good[1]),
+        (good[1], good[1]),
+        (good[0], good[0]),
+    ):
+        with pytest.raises(ValueError, match="does not live at"):
+            thread_residuals(two_level, Thread(entries))
 
 
 def test_lift_recovers_the_parameter_thread(two_level):
@@ -177,7 +188,7 @@ def test_chain_limit_is_the_deepest_level():
     assert lim is levels[-1]
     w = compare(lim, levels[0])
     assert isinstance(w, ComparisonWitness)
-    assert w.mapping == (CopyCoordinate(0), ChebOfCoordinate(2, 1))
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(2, 1))
 
 
 def test_chain_limit_dominates_every_level(two_level):

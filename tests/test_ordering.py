@@ -13,11 +13,10 @@ from compactify.compactification import (
     save_model,
 )
 from compactify.extension import Verdict
-from compactify.functions import Cheb, Cos, Tanh
+from compactify.functions import Cheb, Cos, Tanh, chebyshev_recurrence
 from compactify.ordering import (
     ChebOfCoordinate,
     ComparisonWitness,
-    CopyCoordinate,
     Incomparable,
     apply_witness,
     compare,
@@ -46,7 +45,7 @@ def tanh_cos4():
 def test_self_comparison_is_the_identity_witness(small_gamma):
     w = compare(small_gamma, small_gamma)
     assert isinstance(w, ComparisonWitness)
-    assert w.mapping == (CopyCoordinate(0), CopyCoordinate(1))
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(1, 1))
     assert w.residual == 0.0
     assert w.onto_defect == 0.0
 
@@ -54,7 +53,7 @@ def test_self_comparison_is_the_identity_witness(small_gamma):
 def test_harmonic_coordinate_is_recognized(gamma_model, tanh_cos2):
     w = compare(gamma_model, tanh_cos2)
     assert isinstance(w, ComparisonWitness)
-    assert w.mapping == (CopyCoordinate(0), ChebOfCoordinate(2, 1))
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(2, 1))
     assert w.residual <= 1e-9
     assert w.onto_defect <= 2.0 * tanh_cos2.params.cluster_radius
 
@@ -63,14 +62,24 @@ def test_negated_cosine_parameters_name_the_same_function(small_gamma):
     negated = build_compactification((Tanh(), Cos(-1.0, 0.0)), SMALL)
     w = compare(small_gamma, negated)
     assert isinstance(w, ComparisonWitness)
-    assert w.mapping == (CopyCoordinate(0), CopyCoordinate(1))
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(1, 1))
 
 
 def test_explicit_cheb_coordinate_is_recognized(small_gamma):
     wrapped = build_compactification((Tanh(), Cheb(3, Cos())), SMALL)
     w = compare(small_gamma, wrapped)
     assert isinstance(w, ComparisonWitness)
-    assert w.mapping == (CopyCoordinate(0), ChebOfCoordinate(3, 1))
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(3, 1))
+
+
+def test_degree_one_cheb_coordinate_is_reported_as_a_copy(small_gamma):
+    # T_1(t) = t, so Cheb(1, cos) is the cosine coordinate verbatim
+    wrapped = build_compactification((Tanh(), Cheb(1, Cos())), SMALL)
+    w = compare(small_gamma, wrapped)
+    assert isinstance(w, ComparisonWitness)
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(1, 1))
+    assert w.mapping_json() == [{"op": "copy", "source": 0}, {"op": "copy", "source": 1}]
+    assert w.residual == 0.0
 
 
 def test_incommensurable_frequency_is_incomparable(small_gamma):
@@ -96,21 +105,25 @@ def test_apply_witness_reproduces_the_smaller_embedding(gamma_model, tanh_cos2):
     assert np.array_equal(one, mapped[17:18])
 
 
+def test_apply_witness_clips_recurrence_drift_into_the_smaller_space(gamma_model, tanh_cos4):
+    # T_4 of this cosine value rounds past -1; the smaller space is [-1, 1]
+    t = 0.707106781186551
+    assert chebyshev_recurrence(4, t) == -1.0000000000000002
+    w = compare(gamma_model, tanh_cos4)
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(4, 1))
+    mapped = apply_witness(w, np.array([[0.0, t]]))
+    assert mapped.tolist() == [[0.0, -1.0]]
+
+
 def compose_mappings(outer, inner):
     """Mapping for A -> C given B -> C (outer) and A -> B (inner).
 
     Chebyshev stages multiply: T_m after T_k is T_{mk}.
     """
-    out = []
-    for m in outer:
-        src = inner[m.source]
-        if isinstance(m, CopyCoordinate):
-            out.append(src)
-        elif isinstance(src, CopyCoordinate):
-            out.append(ChebOfCoordinate(m.degree, src.source))
-        else:
-            out.append(ChebOfCoordinate(m.degree * src.degree, src.source))
-    return tuple(out)
+    return tuple(
+        ChebOfCoordinate(m.degree * inner[m.source].degree, inner[m.source].source)
+        for m in outer
+    )
 
 
 def test_composed_mappings_match_direct_comparison(gamma_model, tanh_cos2, tanh_cos4):
@@ -119,7 +132,7 @@ def test_composed_mappings_match_direct_comparison(gamma_model, tanh_cos2, tanh_
     assert isinstance(w_ab, ComparisonWitness)
     assert isinstance(w_bc, ComparisonWitness)
     composed = compose_mappings(w_bc.mapping, w_ab.mapping)
-    assert composed == (CopyCoordinate(0), ChebOfCoordinate(4, 1))
+    assert composed == (ChebOfCoordinate(1, 0), ChebOfCoordinate(4, 1))
     direct = compare(gamma_model, tanh_cos4)
     assert isinstance(direct, ComparisonWitness)
     assert direct.mapping == composed
@@ -235,6 +248,6 @@ def test_compare_across_grids_embeds_the_smaller_family_on_the_larger_grid():
     other = BuildParams(r_image=4.0, r_tail_lo=5.0, r_tail_hi=200.0, grid_step=0.05)
     larger = build_compactification((Tanh(), Cos(), Cos(2.0, 0.0)), SMALL)
     smaller = build_compactification((Tanh(), Cos(2.0, 0.0)), other)
-    w = _witness_from_mapping(larger, smaller, (CopyCoordinate(0), ChebOfCoordinate(2, 1)))
+    w = _witness_from_mapping(larger, smaller, (ChebOfCoordinate(1, 0), ChebOfCoordinate(2, 1)))
     assert isinstance(w, ComparisonWitness)
     assert w.residual == _reembedded_residual(larger, smaller, w.mapping)
