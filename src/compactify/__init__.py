@@ -50,15 +50,12 @@ from .ordering import (
     Incomparable,
     compare,
     enlarge,
-    equivalence_check,
 )
 from .inverse_limit import (
     InverseSystem,
     Thread,
-    apply_bond,
     chain_limit,
     lift_point,
-    make_thread_from_parameter,
 )
 
 __all__ = [
@@ -95,11 +92,8 @@ __all__ = [
     "Incomparable",
     "compare",
     "enlarge",
-    "equivalence_check",
     "InverseSystem",
     "Thread",
-    "apply_bond",
     "chain_limit",
     "lift_point",
-    "make_thread_from_parameter",
 ]

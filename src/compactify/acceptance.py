@@ -25,9 +25,9 @@ from .functions import Cos, FunctionFamily, StereoX, StereoY, Tanh, chebyshev_ex
 from .inverse_limit import (
     InverseSystem,
     LiftError,
+    Thread,
     chain_limit,
     lift_point,
-    make_thread_from_parameter,
     thread_residuals,
 )
 from .ordering import (
@@ -324,7 +324,7 @@ def _crit_comparison_witnesses(ctx: AcceptanceContext) -> tuple[bool, dict]:
     ok_w = isinstance(w1, ComparisonWitness) and isinstance(w2, ComparisonWitness)
     res1 = w1.residual if ok_w else None
     res2 = w2.residual if ok_w else None
-    # equivalence_check(pair, triple), reusing w2
+    # pair and triple are equivalent: each dominates the other (w2 is one way)
     equiv = isinstance(w2, ComparisonWitness) and isinstance(compare(pair, triple), ComparisonWitness)
     passed = (
         ok_w
@@ -379,7 +379,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
         lower = system.levels[n].embedding.embed_array(xs)
         pushed = apply_witness(system.bonds[n], upper)
         thread_sup = max(thread_sup, float(rowwise_distance(pushed, lower).max()))
-    sample = make_thread_from_parameter(system, 7.25)
+    sample = Thread(tuple(level.embed(7.25) for level in levels))
     sample_res = max(thread_residuals(system, sample)) if system.depth > 1 else 0.0
     thread_sup = max(thread_sup, sample_res)
 
@@ -400,11 +400,13 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
             # Away from tanh saturation the lifted thread must track the
             # parameter thread; inside saturation ties make the lift
             # legitimately ambiguous, so agreement is only measured where
-            # the leading coordinate still separates grid points.
+            # the leading coordinate still separates grid points.  Every
+            # level is built at BUILD_PARAMS, so all share one image grid,
+            # and row i of each level is that level's embedding of x0.
             if abs(x0) <= 15.0:
-                reference = make_thread_from_parameter(system, x0)
-                for a, b in zip(thread.entries, reference.entries):
-                    agree_sup = max(agree_sup, float(capped_distance(a.as_array(), b.as_array())))
+                for a, level in zip(thread.entries, levels):
+                    gap = float(capped_distance(a.as_array(), level.image_points[i]))
+                    agree_sup = max(agree_sup, gap)
 
     limit = chain_limit(system)
     limit_ok = True

@@ -149,10 +149,6 @@ class EmbeddingMap:
     def space(self) -> Space:
         return self.family.space()
 
-    def embed(self, x: float) -> ProductPoint:
-        coords = tuple(f.evaluate(float(x)) for f in self.family)
-        return ProductPoint(coords, self.space)
-
     def embed_array(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate every coordinate on a parameter grid, one column each.
 
@@ -257,7 +253,7 @@ class CompactificationModel:
         return len(self.embedding.family)
 
     def embed(self, x: float) -> ProductPoint:
-        return self.embedding.embed(x)
+        return ProductPoint(tuple(f.evaluate(float(x)) for f in self.family), self.space)
 
     @cached_property
     def image_boxes(self) -> BoxedCloud:

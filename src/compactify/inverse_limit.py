@@ -4,7 +4,9 @@ An ascending chain of models is bonded by comparison witnesses mapping
 each level down to the previous one.  Points of the limit are threads:
 one point per level, consecutive levels agreeing through the bonds.
 Every bond is a verified onto map, so the limit of the finite chain is
-its deepest level.
+its deepest level.  Lifts and residuals push (N,) coordinate rows through
+the bonds; ``ProductPoint`` and ``Thread`` are only the types a point
+enters as and a thread leaves as.
 """
 from __future__ import annotations
 
@@ -22,9 +24,7 @@ __all__ = [
     "InverseSystem",
     "Thread",
     "LiftError",
-    "apply_bond",
     "thread_residuals",
-    "make_thread_from_parameter",
     "lift_point",
     "chain_limit",
 ]
@@ -100,16 +100,6 @@ class Thread:
         return self.entries[n]
 
 
-def apply_bond(system: InverseSystem, n: int, p: ProductPoint) -> ProductPoint:
-    """Push a level-(n+1) point down to level n through the bond."""
-    if not (0 <= n < system.depth - 1):
-        raise IndexError(f"no bond at index {n}")
-    if p.space != system.levels[n + 1].space:
-        raise ValueError("point does not live at the bond's source level")
-    row = apply_witness(system.bonds[n], p.as_array()[None])[0]
-    return ProductPoint(row, system.levels[n].space)
-
-
 def thread_residuals(system: InverseSystem, thread: Thread) -> list[float]:
     """Distances between each entry and the pushed-down next entry.
 
@@ -121,15 +111,11 @@ def thread_residuals(system: InverseSystem, thread: Thread) -> list[float]:
     for n, (entry, level) in enumerate(zip(thread.entries, system.levels)):
         if entry.space != level.space:
             raise ValueError(f"thread entry {n} does not live at level {n}")
+    rows = [entry.as_array()[None] for entry in thread.entries]
     return [
-        float(capped_distance(apply_bond(system, n, thread[n + 1]).as_array(), thread[n].as_array()))
-        for n in range(system.depth - 1)
+        float(capped_distance(apply_witness(bond, rows[n + 1]), rows[n])[0])
+        for n, bond in enumerate(system.bonds)
     ]
-
-
-def make_thread_from_parameter(system: InverseSystem, x: float) -> Thread:
-    """The thread of embeddings of one real parameter at every level."""
-    return Thread(tuple(level.embed(x) for level in system.levels))
 
 
 def _candidate(model: CompactificationModel, k: int) -> np.ndarray:
@@ -142,13 +128,14 @@ def _candidate(model: CompactificationModel, k: int) -> np.ndarray:
 def lift_point(system: InverseSystem, n: int, p: ProductPoint) -> Thread:
     """Complete a single level-n point to a whole thread.
 
-    Entries below n are exact bond images.  Entries above n are found by
-    searching the next level's image cloud and remainder centers for the
-    candidate whose bond image is nearest to the current entry, ties going
-    to the lowest candidate index.  A level where no candidate lands
-    within that level's ``params.resolution``, twice its capture radius,
-    raises :class:`LiftError` naming the level, which signals that the
-    sampling there is too sparse.
+    Entry n is ``p`` itself, and entries below n are exact bond images.
+    Entries above n are found by searching the next level's image cloud
+    and remainder centers for the candidate whose bond image is nearest to
+    the current entry, ties going to the lowest candidate index.  Rows are
+    pushed and searched; the thread is built once, at the end.  A level
+    where no candidate lands within that level's ``params.resolution``,
+    twice its capture radius, raises :class:`LiftError` naming the level,
+    which signals that the sampling there is too sparse.
 
     The level-n point must lie within the level-n model's resolution, as
     :func:`closure_membership` measures it; otherwise ValueError.
@@ -170,21 +157,23 @@ def lift_point(system: InverseSystem, n: int, p: ProductPoint) -> Thread:
             f"point is {near:.3e} away from the level-{n} model, beyond {tol:.3e}"
         )
 
-    entries: dict[int, ProductPoint] = {n: p}
+    rows: dict[int, np.ndarray] = {n: p.as_array()}
     for i in range(n, 0, -1):
-        entries[i - 1] = apply_bond(system, i - 1, entries[i])
+        rows[i - 1] = apply_witness(system.bonds[i - 1], rows[i][None])[0]
     for i in range(n, system.depth - 1):
         model_up = system.levels[i + 1]
         tol = model_up.params.resolution
-        best, dist = nearest_in_cloud(entries[i].as_array(), system.pushed_candidates[i])
+        best, dist = nearest_in_cloud(rows[i], system.pushed_candidates[i])
         if dist > tol:
             raise LiftError(
                 f"no candidate at level {i + 1} lands within {tol:.3e} "
                 f"of the level-{i} entry (closest: {dist:.3e}); "
                 "the sampling at that level is too sparse"
             )
-        entries[i + 1] = ProductPoint(_candidate(model_up, best), model_up.space)
-    return Thread(tuple(entries[i] for i in range(system.depth)))
+        rows[i + 1] = _candidate(model_up, best)
+    return Thread(tuple(
+        p if i == n else ProductPoint(rows[i], level.space) for i, level in enumerate(system.levels)
+    ))
 
 
 def chain_limit(system: InverseSystem) -> CompactificationModel:

@@ -9,12 +9,15 @@ the image grid and carry the larger remainder onto the smaller one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .compactification import CompactificationModel, build_compactification
 from .extension import ExtensionReport, Verdict, check_extendability
-from .functions import Cheb, Cos, FunctionDescriptor, FunctionFamily, chebyshev_recurrence
+from .functions import (
+    MAX_CHEB_DEGREE, Cheb, Cos, FunctionDescriptor, FunctionFamily, chebyshev_recurrence,
+)
 from .product_space import distances_to_cloud, rowwise_distance
 
 __all__ = [
@@ -27,7 +30,6 @@ __all__ = [
     "compare",
     "apply_witness",
     "enlarge",
-    "equivalence_check",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -80,35 +82,49 @@ class ComparisonWitness:
         return [m.to_json() for m in self.mapping]
 
 
-def _as_integer_multiple(value: float, base: float) -> int | None:
-    if base == 0.0:
+def _harmonic(f: FunctionDescriptor) -> tuple[int, FunctionDescriptor]:
+    """f as T_degree(inner): the product of its ``Cheb`` degrees, since
+    T_m(T_n(t)) = T_mn(t), and the descriptor inside them."""
+    degree = 1
+    while isinstance(f, Cheb):
+        degree, f = degree * f.n, f.inner
+    return degree, f
+
+
+def _derivation_degree(target: FunctionDescriptor, source: FunctionDescriptor) -> int | None:
+    """The k with target = T_k(source), decided exactly on the stored
+    parameters, or None.  A k above ``MAX_CHEB_DEGREE`` is not matched:
+    applying T_k costs O(k) per point, as evaluating a descriptor does."""
+    (dt, ft), (ds, fs) = _harmonic(target), _harmonic(source)
+    if ft == fs:
+        k = Fraction(dt, ds)
+    elif isinstance(ft, Cos) and isinstance(fs, Cos) and fs.a != 0.0:
+        # cos(m a x + m b) = T_m(cos(a x + b)); cos is even, so the
+        # negated parameter pair names the same function.  Every float is
+        # a rational, so the ratio and the phase are compared exactly.
+        m = Fraction(ft.a) / Fraction(fs.a)
+        if Fraction(ft.b) != m * Fraction(fs.b):
+            return None
+        k = abs(m) * dt / ds
+    else:
         return None
-    m = round(value / base)
-    if m >= 1 and value == m * base:
-        return m
-    return None
+    if k.denominator != 1 or not 1 <= k <= MAX_CHEB_DEGREE:
+        return None
+    return int(k)
 
 
 def _match_coordinate(
     target: FunctionDescriptor, larger_family: FunctionFamily
 ) -> ChebOfCoordinate | None:
+    """A verbatim member first, otherwise the first member, in family
+    order, from which the target derives."""
     for j, g in enumerate(larger_family):
         if g == target:
             return ChebOfCoordinate(1, j)
-    if isinstance(target, Cheb):
-        for j, g in enumerate(larger_family):
-            if g == target.inner:
-                return ChebOfCoordinate(target.n, j)
-    if isinstance(target, Cos):
-        # cos(m a x + m b) = T_m(cos(a x + b)); cos is even, so the
-        # negated parameter pair names the same function.
-        for j, g in enumerate(larger_family):
-            if not isinstance(g, Cos) or g.a == 0.0:
-                continue
-            for aa, bb in ((target.a, target.b), (-target.a, -target.b)):
-                m = _as_integer_multiple(aa, g.a)
-                if m is not None and bb == m * g.b:
-                    return ChebOfCoordinate(m, j)
+    for j, g in enumerate(larger_family):
+        k = _derivation_degree(target, g)
+        if k is not None:
+            return ChebOfCoordinate(k, j)
     return None
 
 
@@ -174,9 +190,10 @@ def compare(
     """Try to exhibit ``larger`` above ``smaller`` in the order.
 
     Every smaller coordinate must be recognized syntactically inside the
-    larger family (verbatim, as T_n of a member, or as a cosine harmonic of
-    a member); the resulting mapping is then verified numerically on the
-    image grid and against the remainders.
+    larger family, verbatim or as T_k of a member, with ``Cheb`` wrappers
+    on either side unwrapped and cosine harmonics decided exactly; the
+    resulting mapping is then verified numerically on the image grid and
+    against the remainders.
     """
     mapping: list[ChebOfCoordinate] = []
     for n, f in enumerate(smaller.family):
@@ -231,9 +248,3 @@ def enlarge(model: CompactificationModel, f: FunctionDescriptor) -> EnlargeResul
         old_report=old_report,
     )
 
-
-def equivalence_check(a: CompactificationModel, b: CompactificationModel) -> bool:
-    """Whether each model dominates the other."""
-    return isinstance(compare(a, b), ComparisonWitness) and isinstance(
-        compare(b, a), ComparisonWitness
-    )

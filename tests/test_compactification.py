@@ -84,12 +84,11 @@ def test_build_params_reject_non_finite_fields(field, value):
         BuildParams(**{field: value})
 
 
-def test_embed_scalar_matches_array_route():
-    emb = EmbeddingMap(FunctionFamily((Tanh(), Cos())))
+def test_embed_scalar_matches_array_route(small_gamma):
     xs = np.linspace(-3.0, 3.0, 101)
-    cols = emb.embed_array(xs)
+    cols = small_gamma.embedding.embed_array(xs)
     for i in (0, 17, 50, 100):
-        pt = emb.embed(float(xs[i]))
+        pt = small_gamma.embed(float(xs[i]))
         assert pt.coords == tuple(cols[i])
 
 

@@ -18,10 +18,8 @@ from compactify.inverse_limit import (
     InverseSystem,
     LiftError,
     Thread,
-    apply_bond,
     chain_limit,
     lift_point,
-    make_thread_from_parameter,
     thread_residuals,
 )
 from compactify.ordering import (
@@ -31,9 +29,20 @@ from compactify.ordering import (
     apply_witness,
     compare,
 )
-from compactify.product_space import ProductPoint, distances_to_cloud
+from compactify.product_space import ProductPoint, capped_distance, distances_to_cloud
 
 from conftest import SMALL
+
+
+def _bond_image(system, n, p):
+    """A level-(n+1) point pushed down through bond n, as a level-n point."""
+    row = apply_witness(system.bonds[n], p.as_array()[None])[0]
+    return ProductPoint(row, system.levels[n].space)
+
+
+def _parameter_thread(system, x):
+    """The thread of embeddings of one real parameter at every level."""
+    return Thread(tuple(level.embed(x) for level in system.levels))
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +89,15 @@ def test_singleton_system_limit_is_its_only_level(small_two_point):
     )
 
 
-def test_apply_bond_projects_the_embedding(two_level):
+def test_bond_projects_the_embedding(two_level):
     upper = two_level.levels[1]
     for x in (-3.0, 0.0, 1.7):
-        down = apply_bond(two_level, 0, upper.embed(x))
+        down = _bond_image(two_level, 0, upper.embed(x))
         assert down.coords == (upper.embed(x).coords[0],)
-    with pytest.raises(IndexError):
-        apply_bond(two_level, 1, upper.embed(0.0))
-    with pytest.raises(ValueError):
-        apply_bond(two_level, 0, two_level.levels[0].embed(0.0))
 
 
 def test_parameter_threads_have_zero_residual(two_level):
-    th = make_thread_from_parameter(two_level, 1.25)
+    th = _parameter_thread(two_level, 1.25)
     assert len(th) == 2
     res = thread_residuals(two_level, th)
     assert res == [0.0]
@@ -107,7 +112,7 @@ def test_thread_length_is_validated(two_level):
 
 
 def test_thread_entries_outside_their_level_are_rejected(two_level):
-    good = make_thread_from_parameter(two_level, 0.5)
+    good = _parameter_thread(two_level, 0.5)
     other_interval = ProductPoint((0.5,), (Interval(0.0, 1.0),))
     for entries in (
         (other_interval, good[1]),
@@ -125,7 +130,7 @@ def test_lift_recovers_the_parameter_thread(two_level):
     p0 = ProductPoint(tuple(lower.image_points[idx]), lower.space)
     th = lift_point(two_level, 0, p0)
     x = float(lower.image_params[idx])
-    expected = make_thread_from_parameter(two_level, x)
+    expected = _parameter_thread(two_level, x)
     assert th[0].coords == p0.coords
     assert max(thread_residuals(two_level, th)) <= 1e-9
     assert np.max(np.abs(np.asarray(th[1].coords) - np.asarray(expected[1].coords))) <= 1e-9
@@ -136,7 +141,7 @@ def test_lift_downward_entries_are_exact_bond_images(two_level):
     p1 = upper.embed(2.5)
     th = lift_point(two_level, 1, p1)
     assert th[1].coords == p1.coords
-    assert th[0].coords == apply_bond(two_level, 0, p1).coords
+    assert th[0].coords == _bond_image(two_level, 0, p1).coords
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +205,7 @@ def test_chain_limit_dominates_every_level(two_level):
 
 
 def test_closedness_separates_threads_from_impostors(two_level):
-    good = make_thread_from_parameter(two_level, 7.25)
+    good = _parameter_thread(two_level, 7.25)
     bent = (
         ProductPoint((-good[0].coords[0],), two_level.levels[0].space),
         good[1],
@@ -218,8 +223,8 @@ def test_bond_composition_is_functorial():
     system = InverseSystem.from_levels(levels)
     top = system.levels[2]
     for x in top.image_params[::20]:
-        once = apply_bond(system, 1, top.embed(float(x)))
-        twice = apply_bond(system, 0, once)
+        once = _bond_image(system, 1, top.embed(float(x)))
+        twice = _bond_image(system, 0, once)
         direct = system.levels[0].embed(float(x))
         err = max(abs(a - b) for a, b in zip(twice.coords, direct.coords))
         assert err <= 2e-9
@@ -252,7 +257,8 @@ def _dense_lift_point(system, n, p):
         )
     entries = {n: p}
     for i in range(n, 0, -1):
-        entries[i - 1] = apply_bond(system, i - 1, entries[i])
+        row = apply_witness(system.bonds[i - 1], entries[i].as_array()[None])[0]
+        entries[i - 1] = ProductPoint(row, system.levels[i - 1].space)
     for i in range(n, system.depth - 1):
         model_up = system.levels[i + 1]
         level_tol = 2.0 * model_up.params.cluster_radius
@@ -313,6 +319,33 @@ def test_lift_matches_the_dense_lift_on_every_level(wide_chain, which):
             assert got == _outcome(_dense_lift_point, system, n, p)
             lifts += isinstance(got, Thread)
     assert lifts > 100
+
+
+def _residual_oracle(system, thread):
+    # One 1-D distance per entry, from the entry's coordinate tuple.
+    return [
+        float(capped_distance(_bond_image(system, i, thread[i + 1]).as_array(), thread[i].as_array()))
+        for i in range(system.depth - 1)
+    ]
+
+
+def test_lift_passes_the_point_through_and_pushes_rows_down_exactly(wide_chain):
+    system = wide_chain[0]
+    threads = [_parameter_thread(system, x) for x in (-30.0, -1.5, 0.0, 7.25)]
+    for n, model in enumerate(system.levels):
+        for p in _probes(model):
+            thread = _outcome(lift_point, system, n, p)
+            if not isinstance(thread, Thread):
+                continue
+            assert thread[n] is p
+            for i in range(n, 0, -1):
+                pushed = apply_witness(system.bonds[i - 1], thread[i].as_array()[None])[0]
+                assert pushed.tobytes() == thread[i - 1].as_array().tobytes()
+            threads.append(thread)
+    assert len(threads) > 100
+    for thread in threads:
+        got = np.array(thread_residuals(system, thread))
+        assert got.tobytes() == np.array(_residual_oracle(system, thread)).tobytes()
 
 
 def test_lift_error_texts_are_unchanged_on_a_coarse_window(sparse_upper):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactify.compactification import (
     BuildParams,
@@ -13,7 +15,9 @@ from compactify.compactification import (
     save_model,
 )
 from compactify.extension import Verdict
-from compactify.functions import Cheb, Cos, Tanh, chebyshev_recurrence
+from compactify.functions import (
+    MAX_CHEB_DEGREE, Cheb, Cos, FunctionFamily, Tanh, chebyshev_recurrence,
+)
 from compactify.ordering import (
     ChebOfCoordinate,
     ComparisonWitness,
@@ -21,8 +25,8 @@ from compactify.ordering import (
     apply_witness,
     compare,
     enlarge,
-    equivalence_check,
     _apply_mapping_array,
+    _match_coordinate,
     _witness_from_mapping,
 )
 from compactify.product_space import rowwise_distance
@@ -82,6 +86,104 @@ def test_degree_one_cheb_coordinate_is_reported_as_a_copy(small_gamma):
     assert w.residual == 0.0
 
 
+def test_cheb_wrapped_larger_coordinates_are_unwrapped(small_gamma, tanh_cos4):
+    # Cheb(1, cos) is cos, so the smaller cosine is a copy of it
+    wrapped = build_compactification((Tanh(), Cheb(1, Cos())), SMALL)
+    w = compare(wrapped, small_gamma)
+    assert isinstance(w, ComparisonWitness)
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(1, 1))
+    assert w.residual == 0.0
+    # Cheb(2, cos) is cos 2x, and cos 4x is T_2 of it
+    cos2x = build_compactification((Tanh(), Cheb(2, Cos())))
+    w = compare(cos2x, tanh_cos4)
+    assert isinstance(w, ComparisonWitness)
+    assert w.mapping == (ChebOfCoordinate(1, 0), ChebOfCoordinate(2, 1))
+    assert w.residual <= 1e-9
+    assert w.onto_defect <= tanh_cos4.params.resolution
+
+
+def test_harmonics_are_decided_exactly_on_the_stored_floats(small_gamma):
+    base = FunctionFamily((Tanh(), Cos(0.1, 0.0)))
+    # 3 * 0.1 rounds to 0.30000000000000004, which is not 3 times the
+    # float 0.1, so cos(0.30000000000000004 x) is no harmonic of it
+    assert 3 * 0.1 == 0.30000000000000004
+    assert _match_coordinate(Cos(3 * 0.1, 0.0), base) is None
+    assert _match_coordinate(Cos(0.3, 0.0), base) is None
+    assert _match_coordinate(Cos(0.5, 0.25), FunctionFamily((Tanh(), Cos(0.25, 0.125)))) == (
+        ChebOfCoordinate(2, 1)
+    )
+    assert _match_coordinate(Cos(-0.5, -0.25), FunctionFamily((Tanh(), Cos(0.25, 0.125)))) == (
+        ChebOfCoordinate(2, 1)
+    )
+    larger = build_compactification(base, SMALL)
+    res = compare(larger, build_compactification((Tanh(), Cos(3 * 0.1, 0.0)), SMALL))
+    assert isinstance(res, Incomparable)
+    assert "not derivable" in res.reason
+
+
+def test_derived_degrees_stay_within_the_descriptor_bound():
+    family = FunctionFamily((Tanh(), Cos()))
+    assert _match_coordinate(Cos(float(MAX_CHEB_DEGREE), 0.0), family) == (
+        ChebOfCoordinate(MAX_CHEB_DEGREE, 1)
+    )
+    assert _match_coordinate(Cos(float(MAX_CHEB_DEGREE + 1), 0.0), family) is None
+    # nested wrappers multiply their degrees: 2 * 1000 is past the bound
+    assert _match_coordinate(Cheb(2, Cheb(MAX_CHEB_DEGREE, Cos())), family) is None
+    assert _match_coordinate(Cheb(2, Cheb(3, Cos())), family) == ChebOfCoordinate(6, 1)
+    wrapped = FunctionFamily((Tanh(), Cheb(2, Tanh(2.0))))
+    assert _match_coordinate(Cheb(4, Tanh(2.0)), wrapped) == ChebOfCoordinate(2, 1)
+    assert _match_coordinate(Cheb(3, Tanh(2.0)), wrapped) is None
+
+
+def _as_integer_multiple(value, base):
+    if base == 0.0:
+        return None
+    m = round(value / base)
+    if m >= 1 and value == m * base:
+        return m
+    return None
+
+
+def _float_match(target, larger_family):
+    # The matcher before harmonics were decided on exact rationals: float
+    # products, and Cheb wrappers seen only on the smaller side.
+    for j, g in enumerate(larger_family):
+        if g == target:
+            return ChebOfCoordinate(1, j)
+    if isinstance(target, Cheb):
+        for j, g in enumerate(larger_family):
+            if g == target.inner:
+                return ChebOfCoordinate(target.n, j)
+    if isinstance(target, Cos):
+        for j, g in enumerate(larger_family):
+            if not isinstance(g, Cos) or g.a == 0.0:
+                continue
+            for aa, bb in ((target.a, target.b), (-target.a, -target.b)):
+                m = _as_integer_multiple(aa, g.a)
+                if m is not None and bb == m * g.b:
+                    return ChebOfCoordinate(m, j)
+    return None
+
+
+# Dyadic parameters with small numerators: every product below is exact.
+DYADIC = st.builds(lambda i, e: i / 2.0**e, st.integers(-64, 64), st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(
+    cosines=st.lists(st.tuples(DYADIC, DYADIC), min_size=1, max_size=3),
+    pick=st.integers(0, 2),
+    m=st.integers(-20, 20),
+    other=st.tuples(DYADIC, DYADIC),
+    harmonic=st.booleans(),
+)
+def test_exact_cosine_ratios_match_as_the_float_matcher_did(cosines, pick, m, other, harmonic):
+    family = FunctionFamily((Tanh(),) + tuple(Cos(a, b) for a, b in cosines))
+    a, b = cosines[pick % len(cosines)]
+    target = Cos(m * a, m * b) if harmonic else Cos(*other)
+    assert _match_coordinate(target, family) == _float_match(target, family)
+
+
 def test_incommensurable_frequency_is_incomparable(small_gamma):
     other = build_compactification((Tanh(), Cos(math.sqrt(2.0), 0.0)), SMALL)
     res = compare(small_gamma, other)
@@ -92,7 +194,6 @@ def test_incommensurable_frequency_is_incomparable(small_gamma):
 def test_distinct_embeddings_are_incomparable(small_two_point, small_one_point):
     assert isinstance(compare(small_two_point, small_one_point), Incomparable)
     assert isinstance(compare(small_one_point, small_two_point), Incomparable)
-    assert not equivalence_check(small_two_point, small_one_point)
 
 
 def test_apply_witness_reproduces_the_smaller_embedding(gamma_model, tanh_cos2):
@@ -152,8 +253,8 @@ def test_wrong_mapping_is_rejected_by_the_residual_check(small_gamma, small_two_
 
 def test_equivalence_up_to_cosine_sign(small_gamma):
     negated = build_compactification((Tanh(), Cos(-1.0, 0.0)), SMALL)
-    assert equivalence_check(small_gamma, negated)
-    assert equivalence_check(small_gamma, small_gamma)
+    assert isinstance(compare(small_gamma, negated), ComparisonWitness)
+    assert isinstance(compare(negated, small_gamma), ComparisonWitness)
 
 
 def test_enlarge_by_incommensurable_cosine_is_strict(small_two_point):
@@ -171,7 +272,8 @@ def test_enlarge_by_existing_member_changes_nothing(small_gamma):
     assert not res.strict
     assert res.old_report.verdict is Verdict.EXTENDS_BY_PROJECTION
     assert tuple(res.model.family) == tuple(small_gamma.family)
-    assert equivalence_check(res.model, small_gamma)
+    assert isinstance(compare(res.model, small_gamma), ComparisonWitness)
+    assert isinstance(compare(small_gamma, res.model), ComparisonWitness)
 
 
 def test_enlarge_by_derivable_function_is_not_strict(small_gamma):
