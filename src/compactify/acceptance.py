@@ -26,7 +26,7 @@ from .inverse_limit import (
     InverseSystem,
     LiftError,
     Thread,
-    chain_limit,
+    limit_residuals,
     lift_point,
     thread_residuals,
 )
@@ -408,24 +408,13 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
                     gap = float(capped_distance(a.as_array(), level.image_points[i]))
                     agree_sup = max(agree_sup, gap)
 
-    limit = chain_limit(system)
-    limit_ok = True
-    limit_residuals = []
-    for level in levels:
-        w = compare(limit, level)
-        if isinstance(w, ComparisonWitness):
-            limit_residuals.append(w.residual)
-        else:
-            limit_ok = False
-            limit_residuals.append(None)
-
+    limit_res = limit_residuals(system)
     passed = (
         max(bond_residuals) <= RESIDUAL_TOL
         and thread_sup <= RESIDUAL_TOL
         and lift_failures == 0
         and agree_sup <= BUILD_PARAMS.resolution
-        and limit_ok
-        and all(r is not None and r <= RESIDUAL_TOL for r in limit_residuals)
+        and all(r is not None and r <= RESIDUAL_TOL for r in limit_res)
     )
     return (
         passed,
@@ -437,7 +426,7 @@ def _crit_chain_and_limit(ctx: AcceptanceContext) -> tuple[bool, dict]:
             "lifts": lifts,
             "lift_failures": lift_failures,
             "lift_agreement_sup": agree_sup,
-            "limit_residuals": limit_residuals,
+            "limit_residuals": limit_res,
         },
     )
 

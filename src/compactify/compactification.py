@@ -32,6 +32,7 @@ from .product_space import (
 __all__ = [
     "MODEL_MAGIC",
     "MAX_SAMPLES",
+    "MAX_EMBEDDED_VALUES",
     "BuildParams",
     "EmbeddingMap",
     "RemainderCluster",
@@ -56,6 +57,10 @@ _LABEL_DTYPES = ("<u1", "<u2", "<u4")
 # together: 68 times the 490 003 of the default window.  A finer grid is
 # rejected before anything is allocated.
 MAX_SAMPLES = 2**25
+# Most float64 values one build may embed, samples times coordinates:
+# 256 MiB, 68 coordinates at the default window and one at MAX_SAMPLES.
+# A longer family is rejected before anything is embedded.
+MAX_EMBEDDED_VALUES = 2**25
 
 
 @dataclass(frozen=True)
@@ -372,12 +377,19 @@ def build_compactification(
 
     Tail samples are presented to the clustering in increasing parameter
     order (the negative tail first), so identical inputs produce identical
-    models bit for bit.
+    models bit for bit.  The embedded samples may hold at most
+    ``MAX_EMBEDDED_VALUES`` values; a larger build is refused up front.
     """
     if params is None:
         params = BuildParams()
     if not isinstance(family, FunctionFamily):
         family = FunctionFamily(tuple(family))
+    values = sum(params.sample_counts()) * len(family)
+    if values > MAX_EMBEDDED_VALUES:
+        raise ValueError(
+            f"a build of {len(family)} coordinates embeds {values} values, more than "
+            f"{MAX_EMBEDDED_VALUES}; use fewer descriptors, a larger grid_step or a narrower window"
+        )
     emb = EmbeddingMap(family)
 
     image_params = params.image_grid()

@@ -13,9 +13,9 @@ import contextvars
 import itertools
 import math
 import os
-import threading
 import weakref
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -163,32 +163,15 @@ def _part_count(witnesses: int) -> int:
 
 def _in_parts(work, runs: list[tuple[int, int]]) -> list:
     """``[work(a, b) for a, b in runs]``, the first run in this thread and
-    each other on a thread started here, in a copy of this thread's
-    context.  Every thread is joined before this returns; then the first
-    run's error in order, if any, is raised again."""
-    results: list = [None] * len(runs)
-    errors: list = [None] * len(runs)
-
-    def run(i: int) -> None:
-        try:
-            results[i] = work(*runs[i])
-        except BaseException as exc:  # raised again in the calling thread
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, len(runs)):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    each other on a pool opened here, in a copy of this thread's context.
+    The pool's threads are joined before this returns or raises; the
+    first error in run order is the one raised."""
+    if len(runs) == 1:
+        return [work(*runs[0])]
+    with ThreadPoolExecutor(len(runs) - 1) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, work, *run) for run in runs[1:]]
+        first = work(*runs[0])
+    return [first] + [future.result() for future in rest]
 
 
 def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> _WitnessShells:
@@ -306,10 +289,10 @@ def check_extendability(
     The pass that evaluates f over the witnesses and reduces the segments
     is cut into contiguous parts: one per CPU this process may run on, at
     most ``_MAX_PARTS``, none shorter than ``_EVAL_BLOCK`` witnesses.  The
-    first part runs in the calling thread and each other on a thread
-    started and joined within the call, so no thread outlives it; an
-    error in a part is raised again in the caller.  The report is the one
-    a single thread gives, bit for bit.
+    first part runs in the calling thread and the others on a thread pool
+    opened and shut down within the call, so no thread outlives it; the
+    first error in part order is raised in the caller.  The report is the
+    one a single thread gives, bit for bit.
     """
     deltas = _validate_deltas(deltas)
     for j, g in enumerate(model.family):

@@ -27,6 +27,7 @@ __all__ = [
     "thread_residuals",
     "lift_point",
     "chain_limit",
+    "limit_residuals",
 ]
 
 
@@ -181,3 +182,11 @@ def chain_limit(system: InverseSystem) -> CompactificationModel:
     maps, so each thread is fixed by its deepest entry, and every point of
     the deepest level starts one."""
     return system.levels[-1]
+
+
+def limit_residuals(system: InverseSystem) -> list[float | None]:
+    """Per level, the residual of the limit model compared over it, or
+    None where the two are incomparable."""
+    limit = chain_limit(system)
+    witnesses = (compare(limit, level) for level in system.levels)
+    return [w.residual if isinstance(w, ComparisonWitness) else None for w in witnesses]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from compactify import cli, extension, ordering
 from compactify.cli import run
-from compactify.compactification import load_model
+from compactify.compactification import EmbeddingMap, load_model
 from compactify.extension import MAX_DELTAS
 from compactify.functions import MAX_CHEB_DEGREE, MAX_DESCRIPTOR_DEPTH, Cos, Tanh
 from compactify.ordering import Incomparable
@@ -91,6 +91,10 @@ def test_unknown_flag_exits_with_usage_code(family_file, tmp_path, capsys):
         (["verify", "--all", "--criteria", "1"], "argument --criteria: not allowed with argument --all"),
         (["extend-check", "--model", "m", "--function", "f", "--deltas", "-inf"], "expected one argument"),
         (["remainder"], "the following arguments are required: --model"),
+        (["verify", "--criteria", "1", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+        (["verify", "--all", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+        (["metric-check", "--seed", "-3"], "argument --seed: expected a non-negative integer, got '-3'"),
+        (["metric-check", "--seed", "x"], "argument --seed: expected a non-negative integer, got 'x'"),
     ],
 )
 def test_flag_errors_are_one_line_usage_errors(argv, message, capsys):
@@ -307,6 +311,15 @@ def test_metric_check_sizes_are_bounded_before_sampling(pairs, dims, allowed, mo
     err = _one_line_error(capsys)
     assert ("sampling reached" in err) == allowed
     assert ("metric-check needs --dims <=" in err) != allowed
+
+
+def test_build_refuses_a_family_too_long_to_embed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(EmbeddingMap, "embed_array", _refuse_to_sample)
+    fam = write_json(tmp_path / "long.json", [{"kind": "tanh"}] * 1000)
+    out = tmp_path / "m.cptf"
+    assert run(["build", "--family", fam, "--out", str(out)]) == 2
+    assert "embeds 490003000 values, more than" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

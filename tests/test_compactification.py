@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from compactify.acceptance import chain_family
 from compactify.compactification import (
+    MAX_EMBEDDED_VALUES,
     MAX_SAMPLES,
     BuildParams,
     EmbeddingMap,
@@ -512,6 +513,20 @@ def test_build_params_bound_the_sample_count():
     for step in (2.2 / (MAX_SAMPLES + 1000), 1e-9, 5e-324):  # 5e-324: the quotient is inf
         with pytest.raises(ValueError, match=f"more than {MAX_SAMPLES} samples"):
             BuildParams(grid_step=step, **window)
+
+
+def _refuse_to_embed(self, xs):
+    raise ValueError("embedding reached")
+
+
+@pytest.mark.parametrize("coordinates,allowed", [(68, True), (69, False), (1000, False)])
+def test_build_bounds_the_embedded_values_before_embedding(coordinates, allowed, monkeypatch):
+    # The default window samples 490 003 parameters per coordinate.
+    assert (sum(BuildParams().sample_counts()) * coordinates <= MAX_EMBEDDED_VALUES) == allowed
+    monkeypatch.setattr(EmbeddingMap, "embed_array", _refuse_to_embed)
+    message = "embedding reached" if allowed else f"embeds {490_003 * coordinates} values, more than"
+    with pytest.raises(ValueError, match=message):
+        build_compactification([Tanh()] * coordinates)
 
 
 def _dense_closure_membership(model, p, eps):

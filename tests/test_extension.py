@@ -7,7 +7,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -432,6 +432,40 @@ def test_an_error_in_a_part_reaches_the_caller(gamma_model):
     # In one part, all of it in the calling thread, the same probe is fine.
     assert _check_in_parts(gamma_model, f, DEFAULT_DELTAS, 1) == _outcome(
         check_extendability, gamma_model, Cos(math.sqrt(2.0), 0.0), DEFAULT_DELTAS
+    )
+
+
+@dataclass(frozen=True)
+class _FaultyInParts(Cos):
+    """A cosine whose evaluation fails in each part listed in ``failing``,
+    with a message that names the part.  ``part_of`` maps each witness to
+    the part whose run holds it."""
+
+    failing: tuple[int, ...] = ()
+    part_of: dict = field(default=None, compare=False, hash=False)
+
+    def evaluate(self, x):
+        part = self.part_of[float(x[0])]
+        if part in self.failing:
+            raise ArithmeticError(f"evaluation failed in part {part}")
+        return super().evaluate(x)
+
+
+def test_the_first_error_in_part_order_reaches_the_caller():
+    model = build_compactification(chain_family(3), SMALL)
+    witnesses = np.concatenate(extension._witness_shells(model, DEFAULT_DELTAS).pieces)
+    cuts = [len(witnesses) * p // 3 for p in range(4)]
+    part_of = {float(w): p for p in range(3) for w in witnesses[cuts[p] : cuts[p + 1]]}
+    assert len(part_of) == len(witnesses)  # tail parameters are distinct
+    threads = threading.active_count()
+    for failing, raised in [((0, 1, 2), 0), ((0, 2), 0), ((1, 2), 1), ((2,), 2)]:
+        f = _FaultyInParts(math.sqrt(2.0), 0.0, failing=failing, part_of=part_of)
+        with pytest.raises(ArithmeticError, match=f"^evaluation failed in part {raised}$"):
+            _check_in_parts(model, f, DEFAULT_DELTAS, 3)
+        assert threading.active_count() == threads
+    f = _FaultyInParts(math.sqrt(2.0), 0.0, part_of=part_of)
+    assert _check_in_parts(model, f, DEFAULT_DELTAS, 3) == _outcome(
+        check_extendability, model, Cos(math.sqrt(2.0), 0.0), DEFAULT_DELTAS
     )
 
 
