@@ -215,13 +215,66 @@ def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> 
     return shells
 
 
+def _pruned_extremes(
+    f: FunctionDescriptor, blocks: list[tuple[np.ndarray, int, int]], at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The min and max of f over each segment of one part, or None when f
+    offers no estimate of some block.  ``blocks`` hold the part's
+    witnesses in order as (witnesses, start, stop), positions counted
+    from the part's start, where segment i starts at ``at[i]``; an empty
+    segment keeps min inf and max -inf.
+
+    Block by block, f is estimated within E of its exact values, and the
+    largest and smallest estimate of each segment so far are updated.  A
+    witness is a candidate if its estimate lies within 2E of either, and
+    f is evaluated exactly on the candidates only.  This is exact: if j
+    holds a segment's exact max and m the largest estimate up to j's
+    block, est_j >= exact_j - E >= exact_m - E >= est_m - 2E, so j is a
+    candidate, and likewise for the min.  E is a bound with a wide
+    margin, which also covers the rounding of the float32 thresholds.
+    """
+    upper = np.full(at.size, -np.inf, dtype=np.float32)
+    lower = np.full(at.size, np.inf, dtype=np.float32)
+    lo = np.full(at.size, np.inf)
+    hi = np.full(at.size, -np.inf)
+    bound = 0.0
+    for xs, start, stop in blocks:
+        estimate = f._estimate(xs)
+        if estimate is None:
+            return None
+        est, error = estimate
+        bound = max(bound, error)
+        margin = np.float32(2.0 * bound)
+        # The segments that meet the block, and where each starts in it.
+        met = slice(int(np.searchsorted(at, start, side="right")) - 1, int(np.searchsorted(at, stop)))
+        offsets = np.maximum(at[met], start) - start
+        upper[met] = np.maximum(upper[met], np.maximum.reduceat(est, offsets))
+        lower[met] = np.minimum(lower[met], np.minimum.reduceat(est, offsets))
+        sizes = np.diff(offsets, append=est.size)
+        picked = np.flatnonzero(
+            (est >= np.repeat(upper[met] - margin, sizes)) | (est <= np.repeat(lower[met] + margin, sizes))
+        )
+        if picked.size == 0:
+            continue
+        exact = f.evaluate(np.take(xs, picked))
+        # Each candidate's segment; the candidates of one segment are a run.
+        seg = np.searchsorted(offsets, picked, side="right") - 1
+        runs = np.flatnonzero(np.diff(seg, prepend=-1))
+        seg = seg[runs] + met.start
+        lo[seg] = np.minimum(lo[seg], np.minimum.reduceat(exact, runs))
+        hi[seg] = np.maximum(hi[seg], np.maximum.reduceat(exact, runs))
+    return lo, hi
+
+
 def _segment_extremes(shells: _WitnessShells, f: FunctionDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """The min and max of f over each (cluster, shell) segment, shaped like
     ``counts``; an empty segment has min inf and max -inf.
 
-    The witnesses are cut into contiguous parts.  Each part evaluates f
-    into its own slice of one values array and reduces the segments it
-    meets; a segment cut by a part boundary gets the min and max of its
+    The witnesses are cut into contiguous parts, and each part reduces
+    the segments it meets.  A probe with an estimate is evaluated exactly
+    only where a segment's min or max can lie (see ``_pruned_extremes``);
+    any other probe is evaluated into the part's own slice of one values
+    array.  A segment cut by a part boundary gets the min and max of its
     parts' extremes, which is exact, since min and max do not depend on
     the order of their operands.
     """
@@ -230,15 +283,23 @@ def _segment_extremes(shells: _WitnessShells, f: FunctionDescriptor) -> tuple[np
     values = np.empty(total)
 
     def extremes(a: int, b: int) -> tuple[int, np.ndarray, np.ndarray]:
+        # The part's witnesses in blocks of at most _EVAL_BLOCK, with
+        # their positions counted from a.
+        blocks = []
         for i in range(bisect_right(starts, a) - 1, bisect_left(starts, b)):
             begin, end = max(a, starts[i]), min(b, starts[i + 1])
             for start in range(begin, end, _EVAL_BLOCK):
                 stop = min(start + _EVAL_BLOCK, end)
-                values[start:stop] = f.evaluate(pieces[i][start - starts[i] : stop - starts[i]])
+                blocks.append((pieces[i][start - starts[i] : stop - starts[i]], start - a, stop - a))
         # The segments that meet [a, b): the one holding a up to the last
         # one starting before b; empty ones among them are masked later.
         first = int(np.searchsorted(bounds, a, side="right")) - 1
         at = np.maximum(bounds[first : np.searchsorted(bounds, b)], a) - a
+        pruned = _pruned_extremes(f, blocks, at)
+        if pruned is not None:
+            return first, *pruned
+        for xs, start, stop in blocks:
+            values[a + start : a + stop] = f.evaluate(xs)
         return first, np.minimum.reduceat(values[a:b], at), np.maximum.reduceat(values[a:b], at)
 
     parts = _part_count(total)
@@ -281,7 +342,10 @@ def check_extendability(
     and the witnesses within the largest radius, innermost first.  Later
     checks with the same ladder evaluate f on those witnesses only and
     reduce per (cluster, shell) segment; min and max are exact, so the
-    report is the same as a fresh check's.  The cache holds one slot per
+    report is the same as a fresh check's.  A probe that can estimate
+    itself within a stated bound, a cosine, is evaluated exactly only on
+    the witnesses where a segment's min or max can lie, with the same
+    result.  The cache holds one slot per
     model, keyed by the ladder: a check with another ladder replaces it.
     Models are treated as immutable; the cache is never written to a
     model file and dies with its model.
@@ -319,8 +383,11 @@ def check_extendability(
     hi = np.maximum.accumulate(hi, axis=1)[:, ::-1]
     counts = shells.counts
     osc = hi - lo
-    with np.errstate(invalid="ignore"):  # inf + -inf where a radius holds no witness
-        mid = 0.5 * (lo + hi)
+    # inf + -inf where a radius holds no witness; where a sum of finite
+    # extremes overflows, the midpoint is taken from their halves.
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = lo + hi
+        mid = np.where(np.isinf(total), 0.5 * lo + 0.5 * hi, 0.5 * total)
     filled = counts > 0
     oscs, mids = np.where(filled, osc, None).tolist(), np.where(filled, mid, None).tolist()
     tables = {

@@ -18,7 +18,7 @@ from .extension import ExtensionReport, Verdict, check_extendability
 from .functions import (
     MAX_CHEB_DEGREE, Cheb, Cos, FunctionDescriptor, FunctionFamily, chebyshev_recurrence,
 )
-from .product_space import distances_to_cloud, rowwise_distance
+from .product_space import capped_distance, rowwise_distance
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+
+# The onto check measures distances in blocks of at most this many values.
+_ONTO_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,23 @@ def apply_witness(witness: ComparisonWitness, points: np.ndarray) -> np.ndarray:
     return np.clip(out, lo, hi)
 
 
+def _onto_defect(centers: np.ndarray, mapped: np.ndarray) -> float:
+    """The largest distance from a row of ``centers`` to its nearest row of
+    ``mapped``, measured in (centers x mapped) blocks of at most
+    ``_ONTO_BLOCK`` values.  Each distance is ``distances_to_cloud``'s
+    from that center to that mapped row, bit for bit."""
+    cols = min(len(mapped), _ONTO_BLOCK)
+    rows = _ONTO_BLOCK // cols
+    defect = 0.0
+    for i in range(0, len(centers), rows):
+        block = centers[i : i + rows, None]
+        nearest = np.full(block.shape[0], np.inf)
+        for j in range(0, len(mapped), cols):
+            np.minimum(nearest, capped_distance(mapped[None, j : j + cols], block).min(axis=1), out=nearest)
+        defect = max(defect, float(nearest.max()))
+    return defect
+
+
 def _witness_from_mapping(
     larger: CompactificationModel,
     smaller: CompactificationModel,
@@ -164,12 +184,10 @@ def _witness_from_mapping(
         return Incomparable(
             f"coordinate mapping residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    mapped_centers = _apply_mapping_array(mapping, larger.remainder_centers)
-    onto_defect = 0.0
+    onto_defect = _onto_defect(
+        smaller.remainder_centers, _apply_mapping_array(mapping, larger.remainder_centers)
+    )
     onto_tol = smaller.params.resolution
-    for c in smaller.remainder:
-        gap = float(distances_to_cloud(c.center, mapped_centers).min())
-        onto_defect = max(onto_defect, gap)
     if onto_defect > onto_tol:
         return Incomparable(
             f"mapped remainder misses a smaller cluster by {onto_defect:.3e} "

@@ -945,6 +945,33 @@ def test_an_affine_range_that_overflows_is_a_usage_error(tmp_path, small_model_f
     assert not out.exists()
 
 
+def test_an_extend_check_of_a_huge_constant_reports_its_value(tmp_path, small_model_file, capsys):
+    # The extremes are finite, but their sum is not.
+    fn = write_json(tmp_path / "f.json", {"kind": "const", "c": 1e308})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["extend-check", "--model", small_model_file, "--function", fn]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert result["verdict"] == "extends_numerically"
+    assert set(result["values"].values()) == {1e308}
+    rows = [row for table in result["tables"].values() for row in table if row["count"]]
+    assert rows and all(row["midpoint"] == 1e308 and row["oscillation"] == 0.0 for row in rows)
+
+
+def test_an_affine_range_wider_than_a_float_is_a_usage_error(tmp_path, small_model_file, capsys):
+    affine = {"kind": "affine", "inner": {"kind": "cos", "a": 1.5}, "scale": 1e308}
+    fn = write_json(tmp_path / "f.json", affine)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["extend-check", "--model", small_model_file, "--function", fn]) == 2
+    err = _one_line_error(capsys)
+    assert "AffineImage range [-1e+308, 1e+308] is wider than the largest float" in err
+
+
 def test_a_chebyshev_range_that_overflows_is_a_usage_error(tmp_path, capsys):
     inner = {"kind": "affine", "inner": {"kind": "tanh"}, "scale": 1e10}
     fam = write_json(tmp_path / "family.json", [{"kind": "tanh"}, {"kind": "cheb", "n": 100, "inner": inner}])

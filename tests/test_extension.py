@@ -12,8 +12,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compactify import extension
+from compactify import extension, functions
 from compactify.acceptance import chain_family
 from compactify.compactification import (
     BuildParams,
@@ -34,7 +36,7 @@ from compactify.extension import (
     Verdict,
     check_extendability,
 )
-from compactify.functions import AffineImage, Cheb, Cos, StereoX, StereoY, Tanh
+from compactify.functions import MAX_CHEB_DEGREE, AffineImage, Cheb, Const, Cos, StereoX, StereoY, Tanh
 from compactify.product_space import distances_to_cloud
 from conftest import SMALL
 
@@ -521,3 +523,145 @@ def test_clusters_inside_the_innermost_shell_are_referenced_not_copied():
     pieces = sum(len(list(run)) if w else 1 for w, run in itertools.groupby(whole))
     assert len(shells.pieces) == pieces
     assert shells.starts[-1] == shells.bounds[-1] == shells.counts[:, 0].sum()
+
+
+_CHAIN_SHELLS = {}
+
+
+def _chain_shells(level: int):
+    """Shells of the SMALL chain model of ``level`` coordinates, built once."""
+    if level not in _CHAIN_SHELLS:
+        model = build_compactification(chain_family(level), SMALL)
+        _CHAIN_SHELLS[level] = (model, extension._witness_shells(model, DEFAULT_DELTAS))
+    return _CHAIN_SHELLS[level][1]
+
+
+def _every_witness_extremes(shells, f):
+    """Oracle for ``_segment_extremes``: f evaluated on every witness, and
+    each segment's min and max taken on its own."""
+    values = np.concatenate([f.evaluate(w) for w in shells.pieces])
+    segments = [values[a:b] for a, b in zip(shells.bounds, shells.bounds[1:])]
+    lo = np.array([v.min(initial=math.inf) for v in segments]).reshape(shells.counts.shape)
+    hi = np.array([v.max(initial=-math.inf) for v in segments]).reshape(shells.counts.shape)
+    return lo, hi
+
+
+# Phases reach n (200 |a| + |b|) on the SMALL tail window: past 1e6 the
+# estimate declines, and the part is evaluated exactly.
+_SLOPES = st.one_of(
+    st.just(0.0),
+    st.floats(-8.0, 8.0, allow_subnormal=False),
+    st.integers(-6, 6).map(float),
+    st.just(1.000001),
+    st.floats(4000.0, 1e5).flatmap(lambda a: st.sampled_from([a, -a])),
+)
+_COSINE_PROBES = st.builds(Cos, _SLOPES, st.floats(-10.0, 10.0, allow_subnormal=False)).flatmap(
+    lambda c: st.one_of(st.just(c), st.integers(1, MAX_CHEB_DEGREE).map(lambda n: Cheb(n, c)))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(level=st.integers(1, 5), f=_COSINE_PROBES, parts=st.sampled_from([1, 3]))
+def test_pruned_extremes_match_every_witness_bit_for_bit(level, f, parts):
+    shells = _chain_shells(level)
+    want = _every_witness_extremes(shells, f)
+    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+        got = extension._segment_extremes(shells, f)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("f", [Cos(), Cos(-1.0, 0.5), Cheb(3, Cos())])
+def test_pruned_extremes_resolve_values_closer_than_the_estimate_error(f, parts):
+    # Runs of witnesses 2e-8 apart where the probe is steep: neighbouring
+    # values differ by less than the estimates' own error, and a run
+    # spans more than twice the estimates' bound, so only the witnesses
+    # near a run's ends are evaluated exactly.
+    ramps = [x + 2e-8 * np.arange(1500) for x in (1.0, 4.0, 2.0, 5.5)]
+    pieces = [np.concatenate(ramps[:2]), np.concatenate(ramps[2:])]
+    shells = _hand_made_shells(pieces, [[3000, 1500], [3000, 1500]])
+    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+        got = extension._segment_extremes(shells, f)
+    want = _every_witness_extremes(shells, f)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@dataclass(frozen=True)
+class _RoughCos(Cos):
+    """A cosine whose estimates are off by almost their whole stated
+    bound, up and down in turn, so that they order nearby witnesses
+    wrongly wherever a segment holds values closer than twice it."""
+
+    def _estimate(self, xs):
+        bound = 1e-3
+        noise = np.where(np.arange(len(xs)) % 2 == 0, 0.99 * bound, -0.99 * bound)
+        return (self.evaluate(xs) + noise).astype(np.float32), bound
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_pruned_extremes_are_exact_for_any_estimate_within_its_bound(level, parts):
+    shells = _chain_shells(level)
+    f = _RoughCos(math.sqrt(2.0), 0.3)
+    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+        got = extension._segment_extremes(shells, f)
+    want = _every_witness_extremes(shells, Cos(math.sqrt(2.0), 0.3))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@dataclass(frozen=True)
+class _CountingCos(Cos):
+    """A cosine that records how many points each evaluation takes."""
+
+    seen: list = field(default_factory=list, compare=False, hash=False)
+
+    def evaluate(self, x):
+        self.seen.append(np.size(x))
+        return super().evaluate(x)
+
+
+def test_pruned_pass_evaluates_few_witnesses_exactly(gamma_model):
+    shells = extension._witness_shells(gamma_model, DEFAULT_DELTAS)
+    f = _CountingCos(math.sqrt(2.0), 0.3)
+    got = extension._segment_extremes(shells, f)
+    assert 0 < sum(f.seen) < shells.starts[-1] // 10
+    want = _every_witness_extremes(shells, Cos(math.sqrt(2.0), 0.3))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 1.0, -1.0, math.sqrt(2.0), 1.000001, 3.0, -7.5, 499.0])
+@pytest.mark.parametrize("b", [0.0, -2.0, 3.1])
+def test_cosine_estimates_stay_within_a_tenth_of_their_bound(a, b):
+    xs = BuildParams().tail_grid()
+    for n, points in ((1, xs), (2, xs), (3, xs), (17, xs), (MAX_CHEB_DEGREE, xs[::97])):
+        f = Cos(a, b) if n == 1 else Cheb(n, Cos(a, b))
+        got = f._estimate(points)
+        if n * (abs(a) * np.abs(points).max() + abs(b)) > functions._ESTIMATE_MAX_PHASE:
+            assert got is None
+            continue
+        estimate, bound = got
+        assert estimate.dtype == np.float32 and bound == functions._ESTIMATE_ERROR
+        assert np.abs(estimate - f.evaluate(points)).max() <= bound / 10
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Tanh(0.5, 1.0),
+        StereoX(),
+        StereoY(),
+        Const(0.25),
+        AffineImage(Cos(1.5), 2.0),
+        Cheb(3, Tanh()),
+        Cheb(2, Cheb(2, Cos())),
+        # phases past the estimate's domain, or not finite
+        Cos(1e4),
+        Cheb(2, Cos(1e308)),
+    ],
+)
+def test_probes_without_an_estimate_take_the_exact_path(gamma_model, f):
+    shells = extension._witness_shells(gamma_model, DEFAULT_DELTAS)
+    assert all(f._estimate(w) is None for w in shells.pieces)
+    got = extension._segment_extremes(shells, f)
+    want = _every_witness_extremes(shells, f)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -286,7 +286,16 @@ def test_descriptors_reject_non_finite_parameters(make, bad):
 def test_affine_ranges_that_overflow_are_rejected(scale, shift):
     with pytest.raises(ValueError, match=r"AffineImage range .*inf.* is not finite"):
         AffineImage(Tanh(), scale, shift)
-    assert AffineImage(Tanh(), scale, 0.0).range_interval() == Interval(-abs(scale), abs(scale))
+    half = scale / 2
+    assert AffineImage(Tanh(), half, 0.0).range_interval() == Interval(-abs(half), abs(half))
+
+
+@pytest.mark.parametrize("inner, scale", [(Tanh(), 1e308), (Cos(1.5), -1e308), (Tanh(), 9e307)])
+def test_affine_ranges_wider_than_a_float_are_rejected(inner, scale):
+    # Both ends are finite, but their difference, an extend-check's
+    # largest oscillation, is not.
+    with pytest.raises(ValueError, match=r"^AffineImage range \[.*\] is wider than the largest float$"):
+        AffineImage(inner, scale)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from compactify.compactification import (
     load_model,
     save_model,
 )
+from compactify import ordering
+from compactify.acceptance import chain_family
 from compactify.extension import Verdict
 from compactify.functions import (
     MAX_CHEB_DEGREE, Cheb, Cos, FunctionFamily, Tanh, chebyshev_recurrence,
@@ -29,7 +31,7 @@ from compactify.ordering import (
     _match_coordinate,
     _witness_from_mapping,
 )
-from compactify.product_space import rowwise_distance
+from compactify.product_space import distances_to_cloud, rowwise_distance
 
 from conftest import SMALL
 
@@ -353,3 +355,25 @@ def test_compare_across_grids_embeds_the_smaller_family_on_the_larger_grid():
     w = _witness_from_mapping(larger, smaller, (ChebOfCoordinate(1, 0), ChebOfCoordinate(2, 1)))
     assert isinstance(w, ComparisonWitness)
     assert w.residual == _reembedded_residual(larger, smaller, w.mapping)
+
+
+def _per_cluster_onto_defect(centers, mapped):
+    """Oracle for ``_onto_defect``: one distance scan per center."""
+    return max(float(distances_to_cloud(c, mapped).min()) for c in centers)
+
+
+@pytest.mark.parametrize("block", [ordering._ONTO_BLOCK, 64, 7, 1])
+def test_onto_defect_matches_the_per_cluster_loop(block, monkeypatch):
+    monkeypatch.setattr(ordering, "_ONTO_BLOCK", block)
+    levels = [build_compactification(chain_family(k), SMALL) for k in (1, 2, 3)]
+    checked = 0
+    for larger in levels:
+        for smaller in levels:
+            mapping = [_match_coordinate(f, larger.family) for f in smaller.family]
+            if None in mapping:
+                continue
+            mapped = _apply_mapping_array(tuple(mapping), larger.remainder_centers)
+            got = ordering._onto_defect(smaller.remainder_centers, mapped)
+            assert got == _per_cluster_onto_defect(smaller.remainder_centers, mapped)
+            checked += 1
+    assert checked == 7
