@@ -608,15 +608,20 @@ def _read_cptf2(fh) -> CompactificationModel:
         image_params=params.image_grid(),
         image_points=image_points,
         remainder=tuple(
-            RemainderCluster(
-                c["cluster_id"],
-                np.asarray(c["center"], dtype=np.float64),
-                c["side"],
-                np.take(tail, members),
-            )
-            for c, members in zip(clusters, _members(labels, k))
+            RemainderCluster(c["cluster_id"], _center(i, c["center"]), c["side"], np.take(tail, members))
+            for i, (c, members) in enumerate(zip(clusters, _members(labels, k)))
         ),
     )
+
+
+def _center(i: int, center) -> np.ndarray:
+    """Cluster i's center from its JSON list.  numpy would read a string
+    such as ``"0.5"`` or a boolean as a number, so either is refused; a
+    center of the wrong shape is left to the model's own check."""
+    for v in center if isinstance(center, list) else ():
+        if isinstance(v, (str, bool)):
+            raise ValueError(f"cluster {i} center must hold numbers, got {v!r}")
+    return np.asarray(center, dtype=np.float64)
 
 
 def write_remainder_csv(model: CompactificationModel, path) -> None:

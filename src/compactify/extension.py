@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compactification import CompactificationModel
+from .compactification import CompactificationModel, RemainderCluster
 from .functions import FunctionDescriptor
-from .product_space import distances_to_cloud
+from .product_space import distances_to_cloud, rowwise_distance
 
 __all__ = [
     "DEFAULT_DELTAS",
@@ -127,6 +127,10 @@ class _WitnessShells:
     cluster and innermost shell first; segment i starts at ``bounds[i]``,
     and ``bounds[-1]`` is the total.  ``empty`` marks the segments that
     hold no witness.
+
+    Every array is the one a full exact embedding of the witnesses
+    gives, bit for bit, though most distances behind it may be estimated
+    (see ``_center_distances``).
     """
 
     deltas: tuple[float, ...]
@@ -137,8 +141,9 @@ class _WitnessShells:
     empty: np.ndarray  # (clusters, deltas) bool, segments innermost first
 
 
-# f is evaluated in blocks of this many witnesses: its temporaries then
-# stay small enough to reuse memory instead of faulting in fresh pages.
+# f is evaluated, and shells are estimated, in blocks of this many
+# witnesses: their temporaries then stay small enough to reuse memory
+# instead of faulting in fresh pages.
 _EVAL_BLOCK = 65_536
 # A witness pass runs on at most this many threads.
 _MAX_PARTS = 8
@@ -174,6 +179,97 @@ def _in_parts(work, runs: list[tuple[int, int]]) -> list:
     return [first] + [future.result() for future in rest]
 
 
+def _decided_distances(
+    model: CompactificationModel, clusters: list[RemainderCluster], deltas: tuple[float, ...]
+) -> list[np.ndarray]:
+    """Distances from the witnesses of consecutive ``clusters`` to their
+    centers, one array per cluster, that lie on the same side of every
+    radius as the exact ones, ``distances_to_cloud`` of the embeddings.
+
+    Each coordinate that offers an estimate of the joined witnesses
+    (``FunctionDescriptor._estimate``) within E_n is taken from it; every
+    other coordinate is evaluated exactly.  The estimated distance D~ is
+    accumulated like the exact one D.  Each capped term
+    min(|u - c|, 1) 2^-n moves by at most 2^-n |u - v| when u moves to
+    v, so D~ lies within B = sum 2^-n E_n of D, up to rounding.  Each
+    sum rounds its N capped differences and its N additions, of values
+    below 2, by at most 2^-53 each, the differences weighted by 2^-n, so
+    the two differ by at most B + R with R = (N + 4) 2^-52.
+
+    A witness whose D~ lies more than 2 (B + R) from every radius delta
+    has |D - delta| > B + R, so D and D~ fall on the same side of delta,
+    and ``D < delta`` is decided; the rounding of the thresholds
+    delta -+ 2 (B + R) is far inside the second B + R.  The other
+    witnesses are embedded exactly, all in one call, and their distances
+    replaced by D, computed row by row with the same kernel: elementwise,
+    that is ``distances_to_cloud`` bit for bit.  A radius beyond the
+    largest D~ by more than that margin holds every witness, so it is not
+    tested.  When no coordinate estimates, B = 0 and D~ is D.
+    """
+    xs = np.concatenate([c.witnesses for c in clusters])
+    sizes = [c.witness_count for c in clusters]
+    ends = np.cumsum(sizes)
+    centers = np.vstack([c.center for c in clusters])
+    # capped_distance's steps, a column at a time: on (witnesses, N) rows
+    # and repeated center rows, the shells of the 5-coordinate chain
+    # model took half as long again.
+    dist = np.zeros(xs.size)
+    term = np.empty(xs.size)
+    bound, w = 0.0, 1.0
+    for n, f in enumerate(model.family):
+        estimate = f._estimate(xs)
+        if estimate is None:
+            column = f.evaluate(xs)
+        else:
+            column, error = estimate
+            bound += w * error
+        np.subtract(column, np.repeat(centers[:, n], sizes), out=term)
+        np.abs(term, out=term)
+        np.minimum(term, 1.0, out=term)
+        term *= w
+        dist += term
+        w *= 0.5
+    near = np.zeros(xs.size, dtype=bool)
+    if bound > 0.0:
+        margin = 2.0 * (bound + (len(model.family) + 4) * 2.0**-52)
+        top = dist.max() + margin
+        for delta in deltas:
+            if delta <= top:
+                near |= (dist >= delta - margin) & (dist <= delta + margin)
+    picked = np.flatnonzero(near)
+    if picked.size:
+        owner = np.searchsorted(ends, picked, side="right")
+        points = model.embedding.embed_array(np.take(xs, picked))
+        dist[picked] = rowwise_distance(points, np.take(centers, owner, axis=0))
+    return np.split(dist, ends[:-1])
+
+
+def _center_distances(model: CompactificationModel, deltas: tuple[float, ...]):
+    """Each cluster's witness distances to its center, cluster by cluster,
+    decided against every radius as the exact ones are.
+
+    A family none of whose coordinates offers an estimate at the tail's
+    two ends embeds each cluster's witnesses exactly.  Otherwise the
+    clusters run in batches of consecutive ones with at most
+    ``_EVAL_BLOCK`` witnesses, or of one larger cluster, and each batch
+    is estimated and patched by ``_decided_distances``, so no more than
+    one batch's columns are held at a time.
+    """
+    reach = np.array([-model.params.r_tail_hi, model.params.r_tail_hi])
+    if all(f._estimate(reach) is None for f in model.family):
+        for cluster in model.remainder:
+            yield distances_to_cloud(cluster.center, model.embedding.embed_array(cluster.witnesses))
+        return
+    batch, held = [], 0
+    for cluster in model.remainder:
+        if batch and held + cluster.witness_count > _EVAL_BLOCK:
+            yield from _decided_distances(model, batch, deltas)
+            batch, held = [], 0
+        batch.append(cluster)
+        held += cluster.witness_count
+    yield from _decided_distances(model, batch, deltas)  # a model has a cluster
+
+
 def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> _WitnessShells:
     """The model's shells for ``deltas``: cached, or computed and cached."""
     shells = _SHELLS.get(model)
@@ -181,9 +277,7 @@ def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> 
         return shells
     counts = np.empty((len(model.remainder), len(deltas)), dtype=np.int64)
     kept = []  # (whole, witnesses within deltas[0]) per cluster
-    for c, cluster in enumerate(model.remainder):
-        points = model.embedding.embed_array(cluster.witnesses)
-        dist = distances_to_cloud(cluster.center, points)
+    for c, (cluster, dist) in enumerate(zip(model.remainder, _center_distances(model, deltas))):
         # A witness lies within all but the last ``depth`` radii of the
         # decreasing ladder; depth 0 is the innermost shell.  The narrow
         # dtype, which MAX_DELTAS fits, lets the stable sort run as a
@@ -337,9 +431,13 @@ def check_extendability(
     ``MAX_DELTAS`` radii are accepted.
 
     The probe-independent work is cached per model: the first sampled
-    check embeds every witness, measures its distance to its cluster
-    center and keeps, per cluster, the witness count within each radius
-    and the witnesses within the largest radius, innermost first.  Later
+    check measures every witness's distance to its cluster center and
+    keeps, per cluster, the witness count within each radius and the
+    witnesses within the largest radius, innermost first.  Where the
+    family's coordinates offer estimates, a cosine's, the distances come
+    from them, and only the witnesses whose estimated distance lies too
+    near a radius to tell its side are embedded exactly, with the same
+    counts and witnesses as a full embedding.  Later
     checks with the same ladder evaluate f on those witnesses only and
     reduce per (cluster, shell) segment; min and max are exact, so the
     report is the same as a fresh check's.  A probe that can estimate

@@ -413,6 +413,14 @@ def _infinite_center(h, image, labels):
     return _cptf2(h, image, labels)
 
 
+def _center_spelled(i, spell):
+    def damage(h, image, labels):
+        h["clusters"][i]["center"] = [spell(v) for v in h["clusters"][i]["center"]]
+        return _cptf2(h, image, labels)
+
+    return damage
+
+
 def _without_clusters(h, image, labels):
     del h["clusters"]
     return _cptf2(h, image, labels)
@@ -501,6 +509,9 @@ BAD_CPTF2 = {
     "NaN center": (_nan_center, "cluster 0 center is not finite"),
     "infinite center": (_infinite_center, "cluster 1 center is not finite"),
     "400-digit center": (_huge_center, "int too large to convert to float"),
+    # numpy would read both as numbers: the same values, and 0.0 and 1.0.
+    "string center": (_center_spelled(0, str), "cluster 0 center must hold numbers, got '-0.99999999998"),
+    "boolean center": (_center_spelled(2, lambda v: v > 0), "cluster 2 center must hold numbers, got False"),
     "400-digit param": (_huge_param, "grid_step must be a number, got 1000"),
     "empty image grid": (_empty_image_grid, "image grid is empty"),
     "400-digit family field": (_huge_family_field, "Cos.b must be a number, got -1000"),

@@ -280,24 +280,32 @@ def test_interleaved_ladders_replace_the_cache_slot():
 
 def test_repeat_checks_embed_the_witnesses_once(monkeypatch):
     model = build_compactification(chain_family(3), SMALL)
-    calls = []
-    original = EmbeddingMap.embed_array
+    shells, embedded = [], []
+    original_distances = extension._center_distances
+    original_embed = EmbeddingMap.embed_array
 
-    def counting(self, xs):
-        calls.append(len(xs))
-        return original(self, xs)
+    def counting_distances(model, deltas):
+        shells.append(deltas)
+        return original_distances(model, deltas)
 
-    monkeypatch.setattr(EmbeddingMap, "embed_array", counting)
+    def counting_embed(self, xs):
+        embedded.append(len(xs))
+        return original_embed(self, xs)
+
+    monkeypatch.setattr(extension, "_center_distances", counting_distances)
+    monkeypatch.setattr(EmbeddingMap, "embed_array", counting_embed)
     check_extendability(model, Cos(math.sqrt(2.0), 0.3))
-    assert len(calls) == len(model.remainder)
+    assert shells == [DEFAULT_DELTAS]
+    first = len(embedded)
     check_extendability(model, Tanh(0.5, 1.0))
     check_extendability(model, StereoY())
-    assert len(calls) == len(model.remainder)
+    assert shells == [DEFAULT_DELTAS] and len(embedded) == first
     check_extendability(model, StereoY(), deltas=(0.2, 0.1))
-    assert len(calls) == 2 * len(model.remainder)
+    assert shells == [DEFAULT_DELTAS, (0.2, 0.1)]
     # a projection verdict samples nothing and leaves the slot alone
+    embedded_before = len(embedded)
     check_extendability(model, Tanh())
-    assert len(calls) == 2 * len(model.remainder)
+    assert shells == [DEFAULT_DELTAS, (0.2, 0.1)] and len(embedded) == embedded_before
     assert extension._SHELLS[model].deltas == (0.2, 0.1)
 
 
@@ -665,3 +673,171 @@ def test_probes_without_an_estimate_take_the_exact_path(gamma_model, f):
     got = extension._segment_extremes(shells, f)
     want = _every_witness_extremes(shells, f)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _exact_center_distances(model, deltas):
+    """Oracle for ``_center_distances``: every witness embedded exactly,
+    one cluster at a time."""
+    for cluster in model.remainder:
+        yield distances_to_cloud(cluster.center, model.embedding.embed_array(cluster.witnesses))
+
+
+def _fresh_shells(model, deltas, distances=None):
+    """The model's shells for ``deltas``, computed anew, from ``distances``
+    in place of ``_center_distances`` if given."""
+    extension._SHELLS.pop(model, None)
+    with mock.patch.object(extension, "_center_distances", distances or extension._center_distances):
+        shells = extension._witness_shells(model, deltas)
+    extension._SHELLS.pop(model, None)
+    return shells
+
+
+def _shell_bytes(shells):
+    return (
+        shells.counts.tobytes(),
+        [w.tobytes() for w in shells.pieces],
+        shells.starts,
+        shells.bounds.tobytes(),
+        shells.empty.tobytes(),
+    )
+
+
+def _assert_shells_are_exact(model, deltas):
+    got = _fresh_shells(model, deltas)
+    assert _shell_bytes(got) == _shell_bytes(_fresh_shells(model, deltas, _exact_center_distances))
+
+
+def _every_distance(model):
+    return np.concatenate(list(_exact_center_distances(model, None)))
+
+
+def _ladder_through(radii, dist, picks):
+    """A decreasing ladder of ``radii`` and of the exact distances of the
+    witnesses at ``picks``, so that some witnesses tie with a radius."""
+    ties = [float(dist[i % dist.size]) for i in picks]
+    ladder = sorted({r for r in [*radii, *ties] if r > 0.0}, reverse=True)
+    return tuple(ladder[:MAX_DELTAS])
+
+
+_SHELL_MODELS = {}
+
+
+def _shell_model(family):
+    """The SMALL model of ``family``, built once."""
+    if family not in _SHELL_MODELS:
+        _SHELL_MODELS[family] = build_compactification(family, SMALL)
+    return _SHELL_MODELS[family]
+
+
+_SHELL_FAMILIES = st.one_of(
+    st.integers(1, 5).map(chain_family),
+    st.builds(
+        lambda a, b: functions.FunctionFamily((Tanh(), Cos(a, b))),
+        st.floats(-8.0, 8.0, allow_subnormal=False),
+        st.floats(-10.0, 10.0, allow_subnormal=False),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    family=_SHELL_FAMILIES,
+    radii=st.lists(st.floats(1e-3, 2.0), max_size=6),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+)
+def test_estimated_shells_equal_the_exact_ones_bit_for_bit(family, radii, picks):
+    model = _shell_model(family)
+    deltas = _ladder_through(radii, _every_distance(model), picks)
+    _assert_shells_are_exact(model, deltas)
+
+
+_TIE_PICKS = range(0, 10**6, 9973)
+
+
+@dataclass(frozen=True)
+class _RoughEstimateCos(Cos):
+    """A cosine coordinate whose estimates are off by almost their whole
+    stated bound, up and down in turn, so that an estimated distance
+    strays from the exact one by almost the sum of the bounds."""
+
+    def _estimate(self, xs):
+        bound = 1e-3
+        noise = np.where(np.arange(len(xs)) % 2 == 0, 0.99 * bound, -0.99 * bound)
+        return (self.evaluate(xs) + noise).astype(np.float32), bound
+
+
+@pytest.mark.parametrize("level", [2, 3, 5])
+def test_estimated_shells_are_exact_for_any_estimate_within_its_bound(level):
+    family = (Tanh(), *(_RoughEstimateCos(float(k)) for k in range(1, level)))
+    model = _shell_model(family)
+    dist = _every_distance(model)
+    for deltas in (
+        DEFAULT_DELTAS,
+        _ladder_through([], dist, _TIE_PICKS[:40]),
+        _ladder_through(DEFAULT_DELTAS, dist, _TIE_PICKS[40:80]),
+        # ties with the largest distances, which no larger radius holds
+        _ladder_through([], dist, np.argsort(dist)[-4:]),
+        # radii 1e-6 apart, closer than the estimates' bound
+        tuple(0.05 - 1e-6 * np.arange(MAX_DELTAS)),
+    ):
+        _assert_shells_are_exact(model, deltas)
+
+
+def test_estimated_shells_embed_few_witnesses_in_batches(gamma_model, monkeypatch):
+    batches, embedded = [], []
+    original_batch = extension._decided_distances
+    original_embed = EmbeddingMap.embed_array
+
+    def recording_batch(model, clusters, deltas):
+        batches.append([c.cluster_id for c in clusters])
+        return original_batch(model, clusters, deltas)
+
+    def recording_embed(self, xs):
+        embedded.append(len(xs))
+        return original_embed(self, xs)
+
+    monkeypatch.setattr(extension, "_decided_distances", recording_batch)
+    monkeypatch.setattr(EmbeddingMap, "embed_array", recording_embed)
+    _assert_shells_are_exact(gamma_model, DEFAULT_DELTAS)
+    tail = sum(c.witness_count for c in gamma_model.remainder)
+    counts = [c.witness_count for c in gamma_model.remainder]
+    # Consecutive clusters, all of them in order, and a batch holds at
+    # most _EVAL_BLOCK witnesses unless it is one cluster.
+    assert sum(batches, []) == list(range(len(gamma_model.remainder)))
+    assert all(len(b) == 1 or sum(counts[c] for c in b) <= extension._EVAL_BLOCK for b in batches)
+    assert len(batches) < len(gamma_model.remainder)
+    # The estimated path: at most one exact embedding per batch, of a
+    # few witnesses; the oracle's embeddings come after it.
+    estimated = embedded[: len(embedded) - len(gamma_model.remainder)]
+    assert len(estimated) <= len(batches)
+    assert 0 < sum(estimated) < tail // 100
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        (Tanh(),),
+        (StereoX(), StereoY()),
+        (Tanh(), Cheb(3, Tanh()), AffineImage(Cos(), 0.5)),
+        # phases past the estimate's domain at the tail's ends
+        (Tanh(), Cos(1e4)),
+    ],
+)
+def test_families_without_an_estimate_embed_every_witness_per_cluster(family, monkeypatch):
+    model = _shell_model(family)
+    embedded = []
+    original = EmbeddingMap.embed_array
+
+    def recording(self, xs):
+        embedded.append(xs)
+        return original(self, xs)
+
+    def no_batches(*args):
+        raise AssertionError("a family without an estimate took the estimated path")
+
+    monkeypatch.setattr(EmbeddingMap, "embed_array", recording)
+    monkeypatch.setattr(extension, "_decided_distances", no_batches)
+    got = _fresh_shells(model, DEFAULT_DELTAS)
+    assert len(embedded) == len(model.remainder)
+    assert all(xs is c.witnesses for xs, c in zip(embedded, model.remainder))
+    assert _shell_bytes(got) == _shell_bytes(_fresh_shells(model, DEFAULT_DELTAS, _exact_center_distances))
