@@ -188,57 +188,50 @@ def _decided_distances(
 
     Each coordinate that offers an estimate of the joined witnesses
     (``FunctionDescriptor._estimate``) within E_n is taken from it; every
-    other coordinate is evaluated exactly.  The estimated distance D~ is
-    accumulated like the exact one D.  Each capped term
-    min(|u - c|, 1) 2^-n moves by at most 2^-n |u - v| when u moves to
-    v, so D~ lies within B = sum 2^-n E_n of D, up to rounding.  Each
-    sum rounds its N capped differences and its N additions, of values
-    below 2, by at most 2^-53 each, the differences weighted by 2^-n, so
-    the two differ by at most B + R with R = (N + 4) 2^-52.
+    other coordinate is evaluated exactly.  Each cluster's estimated
+    distances D~ are ``distances_to_cloud`` of these rows, as the exact
+    D are of the embedded ones.  Each capped term min(|u - c|, 1) 2^-n
+    moves by at most 2^-n |u - v| when u moves to v, so D~ lies within
+    B = sum 2^-n E_n of D, up to rounding.  Each sum rounds its N capped
+    differences and its N additions, of values below 2, by at most 2^-53
+    each, the differences weighted by 2^-n, so the two differ by at most
+    B + (N + 2) 2^-52.
 
-    A witness whose D~ lies more than 2 (B + R) from every radius delta
-    has |D - delta| > B + R, so D and D~ fall on the same side of delta,
-    and ``D < delta`` is decided; the rounding of the thresholds
-    delta -+ 2 (B + R) is far inside the second B + R.  The other
-    witnesses are embedded exactly, all in one call, and their distances
-    replaced by D, computed row by row with the same kernel: elementwise,
-    that is ``distances_to_cloud`` bit for bit.  A radius beyond the
-    largest D~ by more than that margin holds every witness, so it is not
-    tested.  When no coordinate estimates, B = 0 and D~ is D.
+    A witness whose D~ lies more than B + R from every radius delta,
+    with R = (N + 4) 2^-52, falls on the same side of delta as D, so
+    ``D < delta`` is decided: the thresholds delta -+ (B + R) round by at
+    most 2^-52 for the radii that are tested, inside R's spare 2^-51.
+    The other witnesses are embedded exactly, all in one call, and their
+    distances replaced by D, computed row by row with the same kernel:
+    elementwise, that is ``distances_to_cloud`` bit for bit.  A radius
+    beyond the largest D~ by more than that margin holds every witness,
+    so it is not tested.
     """
     xs = np.concatenate([c.witnesses for c in clusters])
-    sizes = [c.witness_count for c in clusters]
-    ends = np.cumsum(sizes)
-    centers = np.vstack([c.center for c in clusters])
-    # capped_distance's steps, a column at a time: on (witnesses, N) rows
-    # and repeated center rows, the shells of the 5-coordinate chain
-    # model took half as long again.
-    dist = np.zeros(xs.size)
-    term = np.empty(xs.size)
+    ends = np.cumsum([c.witness_count for c in clusters])
+    # One contiguous column per coordinate, read as (witnesses, N) rows.
+    columns = np.empty((len(model.family), xs.size))
     bound, w = 0.0, 1.0
     for n, f in enumerate(model.family):
         estimate = f._estimate(xs)
         if estimate is None:
-            column = f.evaluate(xs)
+            columns[n] = f.evaluate(xs)
         else:
-            column, error = estimate
-            bound += w * error
-        np.subtract(column, np.repeat(centers[:, n], sizes), out=term)
-        np.abs(term, out=term)
-        np.minimum(term, 1.0, out=term)
-        term *= w
-        dist += term
+            columns[n] = estimate[0]
+            bound += w * estimate[1]
         w *= 0.5
+    rows = np.split(columns.T, ends[:-1])
+    dist = np.concatenate([distances_to_cloud(c.center, r) for c, r in zip(clusters, rows)])
+    margin = bound + (len(model.family) + 4) * 2.0**-52
+    top = dist.max() + margin
     near = np.zeros(xs.size, dtype=bool)
-    if bound > 0.0:
-        margin = 2.0 * (bound + (len(model.family) + 4) * 2.0**-52)
-        top = dist.max() + margin
-        for delta in deltas:
-            if delta <= top:
-                near |= (dist >= delta - margin) & (dist <= delta + margin)
+    for delta in deltas:
+        if delta <= top:
+            near |= (dist >= delta - margin) & (dist <= delta + margin)
     picked = np.flatnonzero(near)
     if picked.size:
         owner = np.searchsorted(ends, picked, side="right")
+        centers = np.vstack([c.center for c in clusters])
         points = model.embedding.embed_array(np.take(xs, picked))
         dist[picked] = rowwise_distance(points, np.take(centers, owner, axis=0))
     return np.split(dist, ends[:-1])
