@@ -9,13 +9,9 @@ stays macroscopic (no continuous extension can exist).
 """
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
 import weakref
-from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -143,40 +139,15 @@ class _WitnessShells:
 
 # f is evaluated, and shells are estimated, in blocks of this many
 # witnesses: their temporaries then stay small enough to reuse memory
-# instead of faulting in fresh pages.
+# instead of faulting in fresh pages.  Each block of a probe pass decides
+# on its own whether f's estimate prunes it.
 _EVAL_BLOCK = 65_536
-# A witness pass runs on at most this many threads.
-_MAX_PARTS = 8
 
 # One slot per model, for the ladder it was last checked with.  Models
 # hash by identity (eq=False) and are held weakly, so an entry dies with
 # its model.  The slot lives here, not on the model, because its key is
 # the probe-radius ladder, which only extension checks know about.
 _SHELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _part_count(witnesses: int) -> int:
-    """How many parts a pass over ``witnesses`` witnesses is cut into: one
-    per CPU this process may run on, at most ``_MAX_PARTS``, and none
-    shorter than ``_EVAL_BLOCK`` witnesses."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # not offered on every platform
-        cpus = 1
-    return max(1, min(cpus, _MAX_PARTS, witnesses // _EVAL_BLOCK))
-
-
-def _in_parts(work, runs: list[tuple[int, int]]) -> list:
-    """``[work(a, b) for a, b in runs]``, the first run in this thread and
-    each other on a pool opened here, in a copy of this thread's context.
-    The pool's threads are joined before this returns or raises; the
-    first error in run order is the one raised."""
-    if len(runs) == 1:
-        return [work(*runs[0])]
-    with ThreadPoolExecutor(len(runs) - 1) as pool:
-        rest = [pool.submit(contextvars.copy_context().run, work, *run) for run in runs[1:]]
-        first = work(*runs[0])
-    return [first] + [future.result() for future in rest]
 
 
 def _decided_distances(
@@ -302,39 +273,50 @@ def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> 
     return shells
 
 
-def _pruned_extremes(
-    f: FunctionDescriptor, blocks: list[tuple[np.ndarray, int, int]], at: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The min and max of f over each segment of one part, or None when f
-    offers no estimate of some block.  ``blocks`` hold the part's
-    witnesses in order as (witnesses, start, stop), positions counted
-    from the part's start, where segment i starts at ``at[i]``; an empty
-    segment keeps min inf and max -inf.
+def _segment_extremes(shells: _WitnessShells, f: FunctionDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The min and max of f over each (cluster, shell) segment, shaped like
+    ``counts``; an empty segment has min inf and max -inf.
 
-    Block by block, f is estimated within E of its exact values, and the
-    largest and smallest estimate of each segment so far are updated.  A
-    witness is a candidate if its estimate lies within 2E of either, and
-    f is evaluated exactly on the candidates only.  This is exact: if j
-    holds a segment's exact max and m the largest estimate up to j's
-    block, est_j >= exact_j - E >= exact_m - E >= est_m - 2E, so j is a
-    candidate, and likewise for the min.  E is a bound with a wide
-    margin, which also covers the rounding of the float32 thresholds.
+    The witnesses are taken piece by piece, in blocks of at most
+    ``_EVAL_BLOCK``, and each block folds its values into the segments it
+    meets.  A block that f declines to estimate is evaluated on every
+    witness.  On any other block, f is estimated within E of its exact
+    values, and the largest and smallest estimate of each segment so far
+    are updated.  A witness is a candidate if its estimate lies within 2E
+    of either, and f is evaluated exactly on the candidates only.  This is
+    exact: if j holds a segment's exact max in an estimated block, and m
+    the largest estimate up to j's block, then
+    est_j >= exact_j - E >= exact_m - E >= est_m - 2E, so j is a
+    candidate, and likewise for the min.  E is a bound with a wide margin,
+    which also covers the rounding of the float32 thresholds.
     """
-    upper = np.full(at.size, -np.inf, dtype=np.float32)
-    lower = np.full(at.size, np.inf, dtype=np.float32)
-    lo = np.full(at.size, np.inf)
-    hi = np.full(at.size, -np.inf)
+    bounds = shells.bounds
+    upper = np.full(shells.empty.size, -np.inf, dtype=np.float32)
+    lower = np.full(shells.empty.size, np.inf, dtype=np.float32)
+    lo = np.full(shells.empty.size, np.inf)
+    hi = np.full(shells.empty.size, -np.inf)
     bound = 0.0
-    for xs, start, stop in blocks:
+    blocks = (
+        (piece[i : i + _EVAL_BLOCK], start + i)
+        for piece, start in zip(shells.pieces, shells.starts)
+        for i in range(0, piece.size, _EVAL_BLOCK)
+    )
+    for xs, start in blocks:
+        # The segments that meet the block, the one holding its start up
+        # to the last one starting before its end, and where each starts
+        # in it; empty ones among them are masked at the end.
+        first = int(np.searchsorted(bounds, start, side="right")) - 1
+        met = slice(first, int(np.searchsorted(bounds, start + xs.size)))
+        offsets = np.maximum(bounds[met], start) - start
         estimate = f._estimate(xs)
         if estimate is None:
-            return None
+            values = f.evaluate(xs)
+            np.minimum(lo[met], np.minimum.reduceat(values, offsets), out=lo[met])
+            np.maximum(hi[met], np.maximum.reduceat(values, offsets), out=hi[met])
+            continue
         est, error = estimate
         bound = max(bound, error)
         margin = np.float32(2.0 * bound)
-        # The segments that meet the block, and where each starts in it.
-        met = slice(int(np.searchsorted(at, start, side="right")) - 1, int(np.searchsorted(at, stop)))
-        offsets = np.maximum(at[met], start) - start
         upper[met] = np.maximum(upper[met], np.maximum.reduceat(est, offsets))
         lower[met] = np.minimum(lower[met], np.minimum.reduceat(est, offsets))
         sizes = np.diff(offsets, append=est.size)
@@ -347,57 +329,9 @@ def _pruned_extremes(
         # Each candidate's segment; the candidates of one segment are a run.
         seg = np.searchsorted(offsets, picked, side="right") - 1
         runs = np.flatnonzero(np.diff(seg, prepend=-1))
-        seg = seg[runs] + met.start
+        seg = seg[runs] + first
         lo[seg] = np.minimum(lo[seg], np.minimum.reduceat(exact, runs))
         hi[seg] = np.maximum(hi[seg], np.maximum.reduceat(exact, runs))
-    return lo, hi
-
-
-def _segment_extremes(shells: _WitnessShells, f: FunctionDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """The min and max of f over each (cluster, shell) segment, shaped like
-    ``counts``; an empty segment has min inf and max -inf.
-
-    The witnesses are cut into contiguous parts, and each part reduces
-    the segments it meets.  A probe with an estimate is evaluated exactly
-    only where a segment's min or max can lie (see ``_pruned_extremes``);
-    any other probe is evaluated into the part's own slice of one values
-    array.  A segment cut by a part boundary gets the min and max of its
-    parts' extremes, which is exact, since min and max do not depend on
-    the order of their operands.
-    """
-    pieces, starts, bounds = shells.pieces, shells.starts, shells.bounds
-    total = starts[-1]
-    values = np.empty(total)
-
-    def extremes(a: int, b: int) -> tuple[int, np.ndarray, np.ndarray]:
-        # The part's witnesses in blocks of at most _EVAL_BLOCK, with
-        # their positions counted from a.
-        blocks = []
-        for i in range(bisect_right(starts, a) - 1, bisect_left(starts, b)):
-            begin, end = max(a, starts[i]), min(b, starts[i + 1])
-            for start in range(begin, end, _EVAL_BLOCK):
-                stop = min(start + _EVAL_BLOCK, end)
-                blocks.append((pieces[i][start - starts[i] : stop - starts[i]], start - a, stop - a))
-        # The segments that meet [a, b): the one holding a up to the last
-        # one starting before b; empty ones among them are masked later.
-        first = int(np.searchsorted(bounds, a, side="right")) - 1
-        at = np.maximum(bounds[first : np.searchsorted(bounds, b)], a) - a
-        pruned = _pruned_extremes(f, blocks, at)
-        if pruned is not None:
-            return first, *pruned
-        for xs, start, stop in blocks:
-            values[a + start : a + stop] = f.evaluate(xs)
-        return first, np.minimum.reduceat(values[a:b], at), np.maximum.reduceat(values[a:b], at)
-
-    parts = _part_count(total)
-    cuts = [total * p // parts for p in range(parts + 1)]
-    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    lo = np.full(shells.empty.size, np.inf)
-    hi = np.full(shells.empty.size, -np.inf)
-    for first, part_lo, part_hi in _in_parts(extremes, runs):
-        met = slice(first, first + part_lo.size)
-        np.minimum(lo[met], part_lo, out=lo[met])
-        np.maximum(hi[met], part_hi, out=hi[met])
     lo = lo.reshape(shells.counts.shape)
     hi = hi.reshape(shells.counts.shape)
     lo[shells.empty] = np.inf
@@ -436,18 +370,13 @@ def check_extendability(
     report is the same as a fresh check's.  A probe that can estimate
     itself within a stated bound, a cosine, is evaluated exactly only on
     the witnesses where a segment's min or max can lie, with the same
-    result.  The cache holds one slot per
+    result.  Each block of ``_EVAL_BLOCK`` witnesses is pruned so when f
+    offers an estimate of it, and evaluated whole when it does not.  The
+    cache holds one slot per
     model, keyed by the ladder: a check with another ladder replaces it.
     Models are treated as immutable; the cache is never written to a
-    model file and dies with its model.
-
-    The pass that evaluates f over the witnesses and reduces the segments
-    is cut into contiguous parts: one per CPU this process may run on, at
-    most ``_MAX_PARTS``, none shorter than ``_EVAL_BLOCK`` witnesses.  The
-    first part runs in the calling thread and the others on a thread pool
-    opened and shut down within the call, so no thread outlives it; the
-    first error in part order is raised in the caller.  The report is the
-    one a single thread gives, bit for bit.
+    model file and dies with its model.  A check runs on the calling
+    thread and starts none.
     """
     deltas = _validate_deltas(deltas)
     for j, g in enumerate(model.family):

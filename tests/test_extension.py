@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import contextvars
 import gc
 import itertools
 import math
-import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from unittest import mock
@@ -328,8 +325,8 @@ def test_insufficient_witnesses_message_is_unchanged():
     with pytest.raises(InsufficientWitnessesError) as cached:
         check_extendability(chain, Cos(math.sqrt(2.0), 0.3), deltas=deltas)
     assert str(cached.value) == str(oracle.value)
-    for parts in (2, 3):
-        got = _check_in_parts(chain, Cos(math.sqrt(2.0), 0.3), deltas, parts)
+    for block in (7, 1000):
+        got = _check_in_blocks(chain, Cos(math.sqrt(2.0), 0.3), deltas, block)
         assert got == {"error": str(oracle.value)}
 
 
@@ -353,41 +350,48 @@ def test_cache_entry_dies_with_its_model():
     assert len(extension._SHELLS) == 0
 
 
-def _check_in_parts(model, f, deltas, parts):
-    """The outcome of a check whose evaluation pass is cut into ``parts``
-    parts, whatever the CPU count."""
-    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+def _check_in_blocks(model, f, deltas, block):
+    """The outcome of a check whose passes run in blocks of ``block``
+    witnesses."""
+    with mock.patch.object(extension, "_EVAL_BLOCK", block):
         return _outcome(check_extendability, model, f, deltas)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_every_part_count_matches_the_per_cluster_loop_on_chain_levels(level):
+    # Blocks of 7 end mid-segment and on empty segments; 1000 and the
+    # default hold whole pieces of these models.
     model = build_compactification(chain_family(level), SMALL)
     for deltas in EQUIVALENCE_LADDERS:
         for f in EQUIVALENCE_PROBES:
             want = _outcome(_per_cluster_check, model, f, deltas)
-            for parts in (1, 2, 3, len(model.remainder) + 1):
-                assert _check_in_parts(model, f, deltas, parts) == want
+            for block in (7, 97, 1000, extension._EVAL_BLOCK):
+                assert _check_in_blocks(model, f, deltas, block) == want
 
 
 def test_every_part_count_matches_the_per_cluster_loop_on_one_cluster(one_point_model):
     assert len(one_point_model.remainder) == 1
     for f in (Cos(math.sqrt(2.0), 0.3), Tanh(0.5, 1.0), Cheb(3, Cos())):
         want = _outcome(_per_cluster_check, one_point_model, f, DEFAULT_DELTAS)
-        for parts in (1, 2, 3):
-            assert _check_in_parts(one_point_model, f, DEFAULT_DELTAS, parts) == want
+        for block in (97, 1000, extension._EVAL_BLOCK):
+            assert _check_in_blocks(one_point_model, f, DEFAULT_DELTAS, block) == want
 
 
 def test_automatic_split_at_the_default_window(gamma_model):
     witnesses = sum(c.witness_count for c in gamma_model.remainder)
     assert witnesses == 390_002
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert extension._part_count(witnesses) == max(1, min(cpus, extension._MAX_PARTS, 5))
-    assert extension._part_count(extension._EVAL_BLOCK - 1) == 1
+    # A probe with no estimate there is evaluated block by block: each
+    # piece in runs of _EVAL_BLOCK witnesses, the last of a piece shorter.
+    shells = extension._witness_shells(gamma_model, DEFAULT_DELTAS)
+    f = _CountingCos(1e4)
+    extension._segment_extremes(shells, f)
+    block = extension._EVAL_BLOCK
+    assert f.seen == [min(block, len(w) - i) for w in shells.pieces for i in range(0, len(w), block)]
+    assert len(f.seen) > len(shells.pieces)
     for f in (Cos(math.sqrt(2.0), 0.0), Cheb(2, Cos())):
         want = _outcome(_per_cluster_check, gamma_model, f, DEFAULT_DELTAS)
         assert _outcome(check_extendability, gamma_model, f, DEFAULT_DELTAS) == want
-        assert _check_in_parts(gamma_model, f, DEFAULT_DELTAS, 1) == want
+        assert _check_in_blocks(gamma_model, f, DEFAULT_DELTAS, 1000) == want
 
 
 def _hand_made_shells(pieces, counts):
@@ -406,103 +410,21 @@ def _hand_made_shells(pieces, counts):
     )
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4, 6])
-def test_part_boundaries_on_empty_segments_and_between_pieces(parts):
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 6])
+def test_part_boundaries_on_empty_segments_and_between_pieces(block):
     # Segments, innermost shell first: cluster 0 holds 3 witnesses in its
     # inner shell and none in its outer one; cluster 1 none in its inner
     # shell and 3 in its outer one.  Two empty segments sit at position 3,
-    # where two parts meet, and the second piece starts at position 2.
+    # where blocks of 1 meet, and the second piece starts at position 2,
+    # where every block size starts a block; blocks of 2 and 3 end inside
+    # a segment.
     shells = _hand_made_shells([[0.1, -0.3], [0.2, 1.0, -2.0, 0.5]], [[3, 3], [3, 0]])
     assert shells.bounds.tolist() == [0, 3, 3, 3, 6]
-    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+    with mock.patch.object(extension, "_EVAL_BLOCK", block):
         lo, hi = extension._segment_extremes(shells, Tanh())
     values = np.tanh([0.1, -0.3, 0.2, 1.0, -2.0, 0.5])
     assert lo.tolist() == [[values[:3].min(), math.inf], [math.inf, values[3:].min()]]
     assert hi.tolist() == [[values[:3].max(), -math.inf], [-math.inf, values[3:].max()]]
-
-
-@dataclass(frozen=True)
-class _FaultyAwayFromTheCaller(Cos):
-    """A cosine whose evaluation fails on every thread but the main one."""
-
-    def evaluate(self, x):
-        if threading.current_thread() is not threading.main_thread():
-            raise ArithmeticError("evaluation failed in a worker part")
-        return super().evaluate(x)
-
-
-def test_an_error_in_a_part_reaches_the_caller(gamma_model):
-    f = _FaultyAwayFromTheCaller(math.sqrt(2.0), 0.0)
-    threads = threading.active_count()
-    for parts in (2, 3):
-        with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
-            with pytest.raises(ArithmeticError, match="^evaluation failed in a worker part$"):
-                check_extendability(gamma_model, f)
-        assert threading.active_count() == threads
-    # In one part, all of it in the calling thread, the same probe is fine.
-    assert _check_in_parts(gamma_model, f, DEFAULT_DELTAS, 1) == _outcome(
-        check_extendability, gamma_model, Cos(math.sqrt(2.0), 0.0), DEFAULT_DELTAS
-    )
-
-
-@dataclass(frozen=True)
-class _FaultyInParts(Cos):
-    """A cosine whose evaluation fails in each part listed in ``failing``,
-    with a message that names the part.  ``part_of`` maps each witness to
-    the part whose run holds it."""
-
-    failing: tuple[int, ...] = ()
-    part_of: dict = field(default=None, compare=False, hash=False)
-
-    def evaluate(self, x):
-        part = self.part_of[float(x[0])]
-        if part in self.failing:
-            raise ArithmeticError(f"evaluation failed in part {part}")
-        return super().evaluate(x)
-
-
-def test_the_first_error_in_part_order_reaches_the_caller():
-    model = build_compactification(chain_family(3), SMALL)
-    witnesses = np.concatenate(extension._witness_shells(model, DEFAULT_DELTAS).pieces)
-    cuts = [len(witnesses) * p // 3 for p in range(4)]
-    part_of = {float(w): p for p in range(3) for w in witnesses[cuts[p] : cuts[p + 1]]}
-    assert len(part_of) == len(witnesses)  # tail parameters are distinct
-    threads = threading.active_count()
-    for failing, raised in [((0, 1, 2), 0), ((0, 2), 0), ((1, 2), 1), ((2,), 2)]:
-        f = _FaultyInParts(math.sqrt(2.0), 0.0, failing=failing, part_of=part_of)
-        with pytest.raises(ArithmeticError, match=f"^evaluation failed in part {raised}$"):
-            _check_in_parts(model, f, DEFAULT_DELTAS, 3)
-        assert threading.active_count() == threads
-    f = _FaultyInParts(math.sqrt(2.0), 0.0, part_of=part_of)
-    assert _check_in_parts(model, f, DEFAULT_DELTAS, 3) == _outcome(
-        check_extendability, model, Cos(math.sqrt(2.0), 0.0), DEFAULT_DELTAS
-    )
-
-
-def test_more_parts_than_cores_under_fast_thread_switching(gamma_model):
-    # Parts share one values array, written in disjoint slices; a lost or
-    # misplaced write would change some segment's extremes.
-    want = _outcome(_per_cluster_check, gamma_model, Cheb(2, Cos()), DEFAULT_DELTAS)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for parts in (5, 8):
-            assert _check_in_parts(gamma_model, Cheb(2, Cos()), DEFAULT_DELTAS, parts) == want
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_parts_run_in_the_callers_context():
-    # numpy keeps its floating-point error state in a context variable, so
-    # every part must see the caller's.
-    var = contextvars.ContextVar("var", default="unset")
-    token = var.set("caller")
-    try:
-        seen = extension._in_parts(lambda a, b: (var.get(), threading.get_ident()), [(0, 1), (1, 2), (2, 3)])
-    finally:
-        var.reset(token)
-    assert [value for value, _ in seen] == ["caller"] * 3
-    assert seen[0][1] == threading.get_ident() != seen[1][1]
 
 
 def test_checks_leave_no_thread_behind(gamma_model):
@@ -513,7 +435,7 @@ def test_checks_leave_no_thread_behind(gamma_model):
         assert threading.active_count() == threads
     small = build_compactification(chain_family(3), SMALL)
     for k in range(20):
-        _check_in_parts(small, probes[k % len(probes)], DEFAULT_DELTAS, 3)
+        _check_in_blocks(small, probes[k % len(probes)], DEFAULT_DELTAS, 97)
         assert threading.active_count() == threads
 
 
@@ -555,7 +477,7 @@ def _every_witness_extremes(shells, f):
 
 
 # Phases reach n (200 |a| + |b|) on the SMALL tail window: past 1e6 the
-# estimate declines, and the part is evaluated exactly.
+# estimate declines, and the block is evaluated on every witness.
 _SLOPES = st.one_of(
     st.just(0.0),
     st.floats(-8.0, 8.0, allow_subnormal=False),
@@ -569,18 +491,24 @@ _COSINE_PROBES = st.builds(Cos, _SLOPES, st.floats(-10.0, 10.0, allow_subnormal=
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(level=st.integers(1, 5), f=_COSINE_PROBES, parts=st.sampled_from([1, 3]))
-def test_pruned_extremes_match_every_witness_bit_for_bit(level, f, parts):
+@given(level=st.integers(1, 5), f=_COSINE_PROBES, block=st.sampled_from([7, 97, 1000, extension._EVAL_BLOCK]))
+def test_pruned_extremes_match_every_witness_bit_for_bit(level, f, block):
     shells = _chain_shells(level)
     want = _every_witness_extremes(shells, f)
-    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+    with mock.patch.object(extension, "_EVAL_BLOCK", block):
         got = extension._segment_extremes(shells, f)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-@pytest.mark.parametrize("parts", [1, 3])
+def _blocks_of(shells, blocks):
+    """A block size that cuts the longest of ``shells.pieces`` into
+    ``blocks`` blocks."""
+    return -(-max(len(w) for w in shells.pieces) // blocks)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("f", [Cos(), Cos(-1.0, 0.5), Cheb(3, Cos())])
-def test_pruned_extremes_resolve_values_closer_than_the_estimate_error(f, parts):
+def test_pruned_extremes_resolve_values_closer_than_the_estimate_error(f, blocks):
     # Runs of witnesses 2e-8 apart where the probe is steep: neighbouring
     # values differ by less than the estimates' own error, and a run
     # spans more than twice the estimates' bound, so only the witnesses
@@ -588,7 +516,7 @@ def test_pruned_extremes_resolve_values_closer_than_the_estimate_error(f, parts)
     ramps = [x + 2e-8 * np.arange(1500) for x in (1.0, 4.0, 2.0, 5.5)]
     pieces = [np.concatenate(ramps[:2]), np.concatenate(ramps[2:])]
     shells = _hand_made_shells(pieces, [[3000, 1500], [3000, 1500]])
-    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+    with mock.patch.object(extension, "_EVAL_BLOCK", _blocks_of(shells, blocks)):
         got = extension._segment_extremes(shells, f)
     want = _every_witness_extremes(shells, f)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -606,12 +534,12 @@ class _RoughCos(Cos):
         return (self.evaluate(xs) + noise).astype(np.float32), bound
 
 
-@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("level", [1, 3, 5])
-def test_pruned_extremes_are_exact_for_any_estimate_within_its_bound(level, parts):
+def test_pruned_extremes_are_exact_for_any_estimate_within_its_bound(level, blocks):
     shells = _chain_shells(level)
     f = _RoughCos(math.sqrt(2.0), 0.3)
-    with mock.patch.object(extension, "_part_count", lambda witnesses: parts):
+    with mock.patch.object(extension, "_EVAL_BLOCK", _blocks_of(shells, blocks)):
         got = extension._segment_extremes(shells, f)
     want = _every_witness_extremes(shells, Cos(math.sqrt(2.0), 0.3))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -672,6 +600,34 @@ def test_probes_without_an_estimate_take_the_exact_path(gamma_model, f):
     assert all(f._estimate(w) is None for w in shells.pieces)
     got = extension._segment_extremes(shells, f)
     want = _every_witness_extremes(shells, f)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@dataclass(frozen=True)
+class _RecordingCos(Cos):
+    """A cosine that records, block by block, whether it offers an estimate."""
+
+    estimated: list = field(default_factory=list, compare=False, hash=False)
+
+    def _estimate(self, xs):
+        got = super()._estimate(xs)
+        self.estimated.append(got is not None)
+        return got
+
+
+@pytest.mark.parametrize(("level", "block"), [(1, 7), (1, 97), (3, 7)])
+def test_each_block_decides_whether_it_is_estimated(level, block):
+    # cos 6000x has phases past 1e6 where |x| > 166.7, and the SMALL tail
+    # window reaches 200: blocks of smaller witnesses are pruned and the
+    # others evaluated on every witness, in one pass and, on the {tanh}
+    # model, whose pieces run in order of x, within one segment.
+    model = build_compactification(chain_family(level), SMALL)
+    shells = extension._witness_shells(model, DEFAULT_DELTAS)
+    f = _RecordingCos(6000.0)
+    with mock.patch.object(extension, "_EVAL_BLOCK", block):
+        got = extension._segment_extremes(shells, f)
+    assert set(f.estimated) == {True, False}
+    want = _every_witness_extremes(shells, Cos(6000.0))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
