@@ -14,6 +14,8 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -60,20 +62,48 @@ class OscillationRow(NamedTuple):
 
     delta: float
     count: int
-    oscillation: float | None
-    midpoint: float | None
+    oscillation: float
+    midpoint: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionReport:
+    """The verdict of an extend-check and the statistics behind it.
+
+    ``counts``, ``oscillations`` and ``midpoints`` are read-only
+    (clusters, deltas) arrays: entry [c, k] holds the number of cluster
+    c's witnesses within ``deltas[k]`` of its center and the max - min and
+    midpoint of f over them.  Every count is at least 1.  A projection
+    verdict samples nothing, and its arrays have no rows.  ``tables`` and
+    ``to_json`` build per-row objects from the arrays only when they are
+    read.  Reports compare by identity; compare their ``to_json()`` for
+    content.
+    """
+
     verdict: Verdict
     deltas: tuple[float, ...]
-    tables: dict[int, tuple[OscillationRow, ...]]
+    counts: np.ndarray
+    oscillations: np.ndarray
+    midpoints: np.ndarray
     coordinate: int | None = None
     values: dict[int, float] | None = None
     failing_cluster: int | None = None
     oscillation: float | None = None
     witness_count: int | None = None
+
+    def _rows(self):
+        """(cluster id, (counts, oscillations, midpoints)) as Python lists."""
+        return enumerate(
+            zip(self.counts.tolist(), self.oscillations.tolist(), self.midpoints.tolist())
+        )
+
+    @cached_property
+    def tables(self) -> MappingProxyType[int, tuple[OscillationRow, ...]]:
+        """Cluster id -> its rows, largest radius first; empty for a
+        projection verdict.  Built on first read."""
+        return MappingProxyType(
+            {c: tuple(map(OscillationRow, self.deltas, *row)) for c, row in self._rows()}
+        )
 
     def to_json(self) -> dict:
         return {
@@ -89,7 +119,11 @@ class ExtensionReport:
             "oscillation": self.oscillation,
             "witness_count": self.witness_count,
             "tables": {
-                str(cid): [row._asdict() for row in rows] for cid, rows in self.tables.items()
+                str(c): [
+                    {"delta": d, "count": n, "oscillation": o, "midpoint": m}
+                    for d, n, o, m in zip(self.deltas, *row)
+                ]
+                for c, row in self._rows()
             },
         }
 
@@ -260,6 +294,7 @@ def _witness_shells(model: CompactificationModel, deltas: tuple[float, ...]) -> 
     for whole, run in itertools.groupby(kept, key=lambda k: k[0]):
         arrays = [w for _, w in run]
         pieces.extend(arrays if whole else [np.concatenate(arrays)])
+    counts.flags.writeable = False  # reports share it
     sizes = np.diff(counts[:, ::-1], axis=1, prepend=0)  # innermost shell first
     shells = _WitnessShells(
         deltas=deltas,
@@ -349,7 +384,9 @@ def check_extendability(
     A member of the family short-circuits to a projection verdict without
     any sampling.  Otherwise, for every remainder cluster and every probe
     radius delta, the oscillation max - min of f over tail witnesses whose
-    embeddings lie within delta of the cluster center is tabulated.  At the
+    embeddings lie within delta of the cluster center is measured, and the
+    report keeps these (cluster, radius) arrays, with the counts and
+    midpoints, as they are: its table rows are built only when read.  At the
     smallest radius: oscillation below ``PASS_THRESHOLD`` on every cluster
     means f extends numerically, with the min/max midpoint as its value;
     oscillation above ``FAIL_THRESHOLD`` on some cluster with at least
@@ -381,10 +418,14 @@ def check_extendability(
     deltas = _validate_deltas(deltas)
     for j, g in enumerate(model.family):
         if g == f:
+            unsampled = np.empty((0, len(deltas)))
+            unsampled.flags.writeable = False
             return ExtensionReport(
                 verdict=Verdict.EXTENDS_BY_PROJECTION,
                 deltas=deltas,
-                tables={},
+                counts=unsampled,
+                oscillations=unsampled,
+                midpoints=unsampled,
                 coordinate=j,
             )
 
@@ -398,32 +439,26 @@ def check_extendability(
         )
     lo, hi = _segment_extremes(shells, f)
     # Shells run innermost first, so a running min/max over them covers
-    # the witnesses within each radius, smallest radius first.
+    # the witnesses within each radius, smallest radius first.  Counts
+    # never rise as the ladder falls, so every radius holds a witness.
     lo = np.minimum.accumulate(lo, axis=1)[:, ::-1]
     hi = np.maximum.accumulate(hi, axis=1)[:, ::-1]
-    counts = shells.counts
     osc = hi - lo
-    # inf + -inf where a radius holds no witness; where a sum of finite
-    # extremes overflows, the midpoint is taken from their halves.
-    with np.errstate(invalid="ignore", over="ignore"):
+    # Where a sum of extremes overflows, the midpoint is taken from their
+    # halves.
+    with np.errstate(over="ignore"):
         total = lo + hi
         mid = np.where(np.isinf(total), 0.5 * lo + 0.5 * hi, 0.5 * total)
-    filled = counts > 0
-    oscs, mids = np.where(filled, osc, None).tolist(), np.where(filled, mid, None).tolist()
-    tables = {
-        c: tuple(map(OscillationRow, deltas, *row))
-        for c, row in enumerate(zip(counts.tolist(), oscs, mids))
-    }
-    # Every cluster has a witness within the smallest radius.
+    osc.flags.writeable = mid.flags.writeable = False
     final_osc = osc[:, -1].tolist()
-    final_count = counts[:, -1].tolist()
+    final_count = shells.counts[:, -1].tolist()
+    arrays = dict(deltas=deltas, counts=shells.counts, oscillations=osc, midpoints=mid)
 
     if all(o < PASS_THRESHOLD for o in final_osc):
         return ExtensionReport(
             verdict=Verdict.EXTENDS_NUMERICALLY,
-            deltas=deltas,
-            tables=tables,
             values=dict(enumerate(mid[:, -1].tolist())),
+            **arrays,
         )
     failing = [
         i
@@ -434,15 +469,9 @@ def check_extendability(
         worst = max(failing, key=lambda i: (final_osc[i], -i))
         return ExtensionReport(
             verdict=Verdict.FAILS_TO_EXTEND,
-            deltas=deltas,
-            tables=tables,
             failing_cluster=worst,
             oscillation=final_osc[worst],
             witness_count=final_count[worst],
+            **arrays,
         )
-    return ExtensionReport(
-        verdict=Verdict.INCONCLUSIVE,
-        deltas=deltas,
-        tables=tables,
-        oscillation=max(final_osc),
-    )
+    return ExtensionReport(verdict=Verdict.INCONCLUSIVE, oscillation=max(final_osc), **arrays)

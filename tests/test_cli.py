@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -1031,6 +1032,16 @@ def test_chain_demo_bounds_its_levels_before_building(tmp_path, monkeypatch, cap
     assert not out_dir.exists()
 
 
+def _report_body(path):
+    """The report at ``path``, parsed, once its exact bytes are checked:
+    sorted keys, a two-space indent and a final newline, which a digest of
+    the parsed report cannot see."""
+    text = path.read_text(encoding="utf-8")
+    body = json.loads(text)
+    assert text == json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return body
+
+
 @pytest.fixture()
 def unseeded_argv(tmp_path, small_model_file):
     """Each command that draws no random numbers, with every file it
@@ -1060,19 +1071,29 @@ def test_only_seeded_commands_take_a_seed(tmp_path, unseeded_argv, command, caps
     assert not report.exists()
     assert not (tmp_path / "out").exists()
     assert run([*argv, "--json-report", str(report)]) in (0, 3)
-    assert json.loads(report.read_text())["config"]["seed"] == 7
+    assert _report_body(report)["config"]["seed"] == 7
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["metric-check", "--pairs", "200"], ["verify", "--criteria", "2"]],
-)
+SEEDED_ARGV = {
+    "metric-check": ["metric-check", "--pairs", "200"],
+    "verify": ["verify", "--criteria", "2"],
+}
+
+
+def test_report_layout_is_checked_for_every_command(unseeded_argv):
+    # The two tests around this one read every command's report through
+    # _report_body.
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted({**unseeded_argv, **SEEDED_ARGV}) == sorted(commands.choices)
+
+
+@pytest.mark.parametrize("argv", list(SEEDED_ARGV.values()))
 def test_seeded_commands_change_with_their_seed(tmp_path, argv):
     results = []
     for seed in ("7", "3"):
         report = tmp_path / f"r{seed}.json"
         assert run([*argv, "--seed", seed, "--json-report", str(report)]) == 0
-        body = json.loads(report.read_text())
+        body = _report_body(report)
         assert body["config"]["seed"] == int(seed)
         # verify echoes its seed in the result too; the measured values
         # must move without it

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -165,43 +166,54 @@ def _per_cluster_check(model, f, deltas=DEFAULT_DELTAS):
     """The uncached extend-check: embed, measure and mask every witness of
     every cluster on each call.  Oracle for the cached segment reductions."""
     deltas = tuple(float(d) for d in deltas)
-    tables = {}
-    final_osc, final_mid, final_count = {}, {}, {}
-    for cluster in model.remainder:
+    if f in model.family.descriptors:
+        unsampled = np.empty((0, len(deltas)))
+        return ExtensionReport(
+            verdict=Verdict.EXTENDS_BY_PROJECTION,
+            deltas=deltas,
+            counts=unsampled,
+            oscillations=unsampled,
+            midpoints=unsampled,
+            coordinate=model.family.descriptors.index(f),
+        )
+    stats = []  # per cluster, (count, oscillation, midpoint) per radius
+    for c, cluster in enumerate(model.remainder):
+        assert cluster.cluster_id == c
         xs = cluster.witnesses
         dist = distances_to_cloud(cluster.center, model.embedding.embed_array(xs))
         values = np.asarray(f.evaluate(xs), dtype=np.float64)
-        rows = []
-        for delta in deltas:
-            sel = dist < delta
-            count = int(np.count_nonzero(sel))
-            if count == 0:
-                rows.append(OscillationRow(delta, 0, None, None))
-                continue
-            vmin = float(values[sel].min())
-            vmax = float(values[sel].max())
-            rows.append(OscillationRow(delta, count, vmax - vmin, 0.5 * (vmin + vmax)))
-        tables[cluster.cluster_id] = tuple(rows)
-        last = rows[-1]
-        if last.count == 0:
+        if not np.any(dist < deltas[-1]):
             raise InsufficientWitnessesError(
                 f"cluster {cluster.cluster_id} has no witnesses within "
                 f"delta={deltas[-1]}; rebuild with a denser tail grid "
                 "(smaller grid_step) or a larger smallest delta"
             )
-        final_osc[cluster.cluster_id] = last.oscillation
-        final_mid[cluster.cluster_id] = last.midpoint
-        final_count[cluster.cluster_id] = last.count
-    common = dict(deltas=deltas, tables=tables)
-    if all(o < PASS_THRESHOLD for o in final_osc.values()):
-        return ExtensionReport(verdict=Verdict.EXTENDS_NUMERICALLY, values=final_mid, **common)
+        rows = []
+        for delta in deltas:
+            sel = dist < delta
+            count = int(np.count_nonzero(sel))
+            # The smallest radius holds a witness, and counts never rise
+            # as the ladder falls, so no reported row is empty.
+            assert count >= 1
+            vmin = float(values[sel].min())
+            vmax = float(values[sel].max())
+            rows.append((count, vmax - vmin, 0.5 * (vmin + vmax)))
+        stats.append(rows)
+    table = np.array(stats)  # (clusters, deltas, 3)
+    counts, osc, mid = table[..., 0].astype(np.int64), table[..., 1], table[..., 2]
+    final_osc, final_count = osc[:, -1].tolist(), counts[:, -1].tolist()
+    common = dict(deltas=deltas, counts=counts, oscillations=osc, midpoints=mid)
+    if all(o < PASS_THRESHOLD for o in final_osc):
+        return ExtensionReport(
+            verdict=Verdict.EXTENDS_NUMERICALLY, values=dict(enumerate(mid[:, -1].tolist())), **common
+        )
     failing = [
-        cid
-        for cid, o in final_osc.items()
-        if o > FAIL_THRESHOLD and final_count[cid] >= MIN_FAIL_WITNESSES
+        c
+        for c, (o, n) in enumerate(zip(final_osc, final_count))
+        if o > FAIL_THRESHOLD and n >= MIN_FAIL_WITNESSES
     ]
     if failing:
-        worst = max(failing, key=lambda cid: (final_osc[cid], -cid))
+        worst = max(failing, key=lambda c: (final_osc[c], -c))
         return ExtensionReport(
             verdict=Verdict.FAILS_TO_EXTEND,
             failing_cluster=worst,
@@ -209,9 +221,7 @@ def _per_cluster_check(model, f, deltas=DEFAULT_DELTAS):
             witness_count=final_count[worst],
             **common,
         )
-    return ExtensionReport(
-        verdict=Verdict.INCONCLUSIVE, oscillation=max(final_osc.values()), **common
-    )
+    return ExtensionReport(verdict=Verdict.INCONCLUSIVE, oscillation=max(final_osc), **common)
 
 
 def _outcome(check, model, f, deltas):
@@ -455,15 +465,16 @@ def test_clusters_inside_the_innermost_shell_are_referenced_not_copied():
     assert shells.starts[-1] == shells.bounds[-1] == shells.counts[:, 0].sum()
 
 
-_CHAIN_SHELLS = {}
+@functools.cache
+def _chain_model(level: int):
+    """The SMALL chain model of ``level`` coordinates, built once."""
+    return build_compactification(chain_family(level), SMALL)
 
 
+@functools.cache
 def _chain_shells(level: int):
     """Shells of the SMALL chain model of ``level`` coordinates, built once."""
-    if level not in _CHAIN_SHELLS:
-        model = build_compactification(chain_family(level), SMALL)
-        _CHAIN_SHELLS[level] = (model, extension._witness_shells(model, DEFAULT_DELTAS))
-    return _CHAIN_SHELLS[level][1]
+    return extension._witness_shells(_chain_model(level), DEFAULT_DELTAS)
 
 
 def _every_witness_extremes(shells, f):
@@ -498,6 +509,81 @@ def test_pruned_extremes_match_every_witness_bit_for_bit(level, f, block):
     with mock.patch.object(extension, "_EVAL_BLOCK", block):
         got = extension._segment_extremes(shells, f)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _assert_rows_match_the_json(report):
+    """``report.tables``, field by field and type by type, is the report's
+    JSON tables."""
+    blob = report.to_json()["tables"]
+    assert list(blob) == [str(c) for c in report.tables]
+    for c, rows in report.tables.items():
+        assert len(rows) == len(blob[str(c)]) == len(report.deltas)
+        for row, want in zip(rows, blob[str(c)]):
+            assert type(row) is OscillationRow
+            assert row._asdict() == want
+            assert [type(v) for v in row] == [type(v) for v in want.values()] == [float, int, float, float]
+            assert row.count >= 1
+
+
+_LADDERS = st.lists(st.floats(0.005, 0.5), min_size=1, max_size=8, unique=True).map(
+    lambda radii: tuple(sorted(radii, reverse=True))
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    level=st.integers(1, 5),
+    f=st.one_of(st.sampled_from([*EQUIVALENCE_PROBES, Tanh(), Cos(), Cheb(2, Cos())]), _COSINE_PROBES),
+    deltas=_LADDERS,
+)
+def test_report_arrays_give_the_oracles_rows(level, f, deltas):
+    model = _chain_model(level)
+    got = _assert_matches_oracle(model, f, deltas)
+    if "error" in got:
+        return
+    report = check_extendability(model, f, deltas=deltas)  # from the cached shells
+    assert report.to_json() == got
+    _assert_rows_match_the_json(report)
+
+
+@pytest.mark.parametrize(
+    "level, f, verdict",
+    [
+        (1, Cos(math.sqrt(2.0), 0.3), Verdict.FAILS_TO_EXTEND),
+        (1, StereoY(), Verdict.INCONCLUSIVE),
+        (2, Tanh(0.5, 1.0), Verdict.EXTENDS_NUMERICALLY),
+        (1, Tanh(), Verdict.EXTENDS_BY_PROJECTION),
+        (5, Cos(4.0, 0.0), Verdict.EXTENDS_BY_PROJECTION),
+    ],
+)
+def test_report_arrays_give_the_oracles_rows_for_each_verdict(level, f, verdict):
+    model = _chain_model(level)
+    got = _assert_matches_oracle(model, f, DEFAULT_DELTAS)
+    report = check_extendability(model, f)
+    assert report.verdict is verdict
+    assert report.to_json() == got
+    _assert_rows_match_the_json(report)
+    if verdict is Verdict.EXTENDS_BY_PROJECTION:
+        assert not report.tables and report.tables == {} and got["tables"] == {}
+    else:
+        assert list(report.tables) == list(range(len(model.remainder)))
+
+
+def test_report_rows_are_built_on_first_read_and_read_only():
+    model = _chain_model(3)
+    report = check_extendability(model, Tanh(0.5, 1.0))
+    for array in (report.counts, report.oscillations, report.midpoints):
+        assert array.shape == (len(model.remainder), len(DEFAULT_DELTAS))
+        assert not array.flags.writeable
+    assert "tables" not in vars(report)
+    report.to_json()
+    assert "tables" not in vars(report)
+    tables = report.tables
+    assert report.tables is tables
+    with pytest.raises(TypeError):
+        tables[0] = ()
+    # A report is compared by identity: its arrays have no truth value.
+    assert report != check_extendability(model, Tanh(0.5, 1.0))
 
 
 def _blocks_of(shells, blocks):
